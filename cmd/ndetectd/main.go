@@ -63,7 +63,7 @@ func main() {
 	var (
 		addrF     = flag.String("addr", ":8414", "listen address")
 		workersF  = flag.Int("workers", 0, "server-wide worker budget, split across concurrent jobs (0 = one per CPU; DESIGN.md §5/§10)")
-		cacheF    = flag.Int("cache", service.DefaultCacheEntries, "result cache capacity (LRU entries)")
+		cacheF    = flag.Int("cache", service.DefaultCacheEntries, "result cache capacity (LRU entries; the cache also holds at most 64 MiB of results, DESIGN.md §10)")
 		storeF    = flag.String("store-dir", "", "persistent artifact store directory (empty = in-memory caches only; DESIGN.md §11)")
 		storeMaxF = flag.Int64("store-max-bytes", 0, "artifact store size bound in bytes (0 = default 1 GiB; LRU eviction)")
 		modelF    = flag.String("fault-model", "", `fault model filled into submissions that name none ("" = the stuck-at + bridging default); requests carrying their own options.fault_model are unaffected (DESIGN.md §12)`)

@@ -2,6 +2,7 @@ package ndetect
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -129,13 +130,17 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 		}
 	}
 
-	// Reverse index: for every vector, which untargeted faults it detects.
-	// Makes marking first detections O(|faults detected by v|) per added
-	// vector instead of a full |G| sweep per iteration.
+	// Reverse index: for every vector, which untargeted T-set classes it
+	// detects. Whether a test set detects g depends on T(g) alone, so the
+	// runs track one slot per class (tsetClasses) and res.Detected[n] holds
+	// per-class counts in its low slots until the expansion below. Marking
+	// first detections costs O(|classes detected by v|) per added vector
+	// instead of a full |G| sweep per iteration.
+	classOf, reps := tsetClasses(u.Untargeted)
 	gAt := make([][]int32, u.Size)
-	for j, g := range u.Untargeted {
-		g.T.ForEach(func(v int) {
-			gAt[v] = append(gAt[v], int32(j))
+	for c, j := range reps {
+		u.Untargeted[j].T.ForEach(func(v int) {
+			gAt[v] = append(gAt[v], int32(c))
 		})
 	}
 	// Same for targets: incremental Definition 1 counts.
@@ -152,7 +157,7 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 	var mu sync.Mutex
 	finished := 0
 	sim.ParallelFor(opts.Workers, opts.K, func(k int) {
-		runOne(u, &opts, k, fAt, gAt, res, &mu)
+		runOne(u, &opts, k, len(reps), fAt, gAt, res, &mu)
 		if opts.Progress != nil {
 			mu.Lock()
 			finished++
@@ -160,16 +165,19 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 			mu.Unlock()
 		}
 	})
+	for _, d := range res.Detected {
+		expandClasses(d, classOf)
+	}
 	return res, nil
 }
 
 // runOne builds one test set through all NMax iterations and merges its
-// statistics into res under mu.
-func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
+// per-class detection statistics into res under mu.
+func runOne(u *Universe, opts *Procedure1Options, k, classes int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
 	rng := rand.New(rand.NewSource(mix(opts.Seed, int64(k))))
 	tk := NewTestSet(u.Size)
 	def1Count := make([]int, len(u.Targets))
-	gDetected := make([]bool, len(u.Untargeted))
+	gDetected := make([]bool, classes)
 
 	var d2 *def2State
 	if opts.Definition == Def2 {
@@ -183,8 +191,8 @@ func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res
 		for _, fi := range fAt[v] {
 			def1Count[fi]++
 		}
-		for _, gj := range gAt[v] {
-			gDetected[gj] = true
+		for _, c := range gAt[v] {
+			gDetected[c] = true
 		}
 	}
 
@@ -226,9 +234,9 @@ func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res
 		}
 		// Snapshot statistics for this n.
 		var dets []int32
-		for j, d := range gDetected {
+		for c, d := range gDetected {
 			if d {
-				dets = append(dets, int32(j))
+				dets = append(dets, int32(c))
 			}
 		}
 		detectedAtN[n-1] = dets
@@ -242,8 +250,8 @@ func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res
 
 	mu.Lock()
 	for n := 0; n < opts.NMax; n++ {
-		for _, j := range detectedAtN[n] {
-			res.Detected[n][j]++
+		for _, c := range detectedAtN[n] {
+			res.Detected[n][c]++
 		}
 		res.SizeAdd(n, sizeAtN[n])
 	}
@@ -255,14 +263,31 @@ func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res
 // aggregation directly.
 func (r *Procedure1Result) SizeAdd(n, size int) { r.SetSizeSum[n] += int64(size) }
 
-// pickRandomOutside selects a uniformly random member of T(f) − Tk.
+// pickRandomOutside selects a uniformly random member of T(f) − Tk: the
+// n-th member for one draw n < |T(f) − Tk|, counted and selected over the
+// words of both sets in place instead of through a difference bitset.
 func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := t.Difference(tk.Set())
-	c := diff.Count()
+	tw, kw := t.Words(), tk.Set().Words()
+	c := 0
+	for i, w := range tw {
+		c += bits.OnesCount64(w &^ kw[i])
+	}
 	if c == 0 {
 		return 0, false
 	}
-	return diff.Nth(rng.Intn(c)), true
+	n := rng.Intn(c)
+	for i, w := range tw {
+		w &^= kw[i]
+		if m := bits.OnesCount64(w); n >= m {
+			n -= m
+			continue
+		}
+		for ; n > 0; n-- {
+			w &= w - 1
+		}
+		return i*64 + bits.TrailingZeros64(w), true
+	}
+	panic("ndetect: draw beyond |T(f) − Tk|")
 }
 
 // mix derives a well-spread 64-bit seed from (base, k) with a splitmix64

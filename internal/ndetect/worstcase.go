@@ -86,24 +86,27 @@ func WorstCase(u *Universe) *WorstCaseResult {
 // every worker count; only wall-clock time changes (DESIGN.md §5 — the
 // knob must be threaded, not re-resolved, so callers that split a budget
 // across concurrent circuits or parts stay within it).
+//
+// nmin(g) depends on T(g) alone, so the scan runs once per T-set class
+// (tsetClasses) and each class's value is copied to its members. Targets
+// with equal T-sets give equal nmin(g,f), so the scan visits one target
+// per class as well.
 func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	r := &WorstCaseResult{NMin: make([]int, len(u.Untargeted))}
+	classOf, reps := tsetClasses(u.Untargeted)
+	_, order := tsetClasses(u.Targets)
 
 	// Precompute N(f) once and visit targets in ascending N(f): the lower
 	// bound nmin(g,f) ≥ N(f) + 1 − min(N(f), |T(g)|) is nondecreasing in
 	// N(f), so once it reaches the best value found the scan can stop.
-	order := make([]int, len(u.Targets))
-	for i := range order {
-		order[i] = i
-	}
 	nf := make([]int, len(u.Targets))
 	for i, f := range u.Targets {
 		nf[i] = f.T.Count()
 	}
 	sort.Slice(order, func(a, b int) bool { return nf[order[a]] < nf[order[b]] })
 
-	one := func(j int) {
-		g := u.Untargeted[j]
+	one := func(c int) {
+		g := u.Untargeted[reps[c]]
 		ng := g.T.Count()
 		best := Unbounded
 		for _, i := range order {
@@ -122,10 +125,11 @@ func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 				}
 			}
 		}
-		r.NMin[j] = best
+		r.NMin[c] = best
 	}
 
-	sim.ParallelFor(workers, len(u.Untargeted), one)
+	sim.ParallelFor(workers, len(reps), one)
+	expandClasses(r.NMin, classOf)
 	return r
 }
 

@@ -7,10 +7,17 @@ import "container/list"
 // jobID). Values are the exact encoded response bytes, so a hit is served
 // byte-identical to the cold run that produced it. Not safe for concurrent
 // use — the Manager guards it with its own mutex.
+//
+// Two bounds apply: at most cap entries, and at most maxBytes of result
+// bytes. Documents range from kilobytes to megabytes, so the entry cap
+// alone does not bound memory. The newest entry is always kept, even when
+// it alone exceeds maxBytes.
 type resultCache struct {
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	cap      int
+	maxBytes int64
+	bytes    int64      // summed len(result) of the cached entries
+	ll       *list.List // front = most recently used
+	items    map[string]*list.Element
 }
 
 // cacheEntry is what completion leaves behind once the Job bookkeeping is
@@ -26,11 +33,12 @@ type cacheEntry struct {
 	seq int64
 }
 
-func newResultCache(capacity int) *resultCache {
+func newResultCache(capacity int, maxBytes int64) *resultCache {
 	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		cap:      capacity,
+		maxBytes: maxBytes,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element, capacity),
 	}
 }
 
@@ -44,19 +52,21 @@ func (c *resultCache) get(id string) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// add inserts (or refreshes) an entry, evicting the least recently used
-// one beyond capacity.
+// add inserts (or refreshes) an entry, evicting least recently used ones
+// while either bound is exceeded.
 func (c *resultCache) add(e *cacheEntry) {
 	if el, ok := c.items[e.id]; ok {
+		c.bytes -= int64(len(el.Value.(*cacheEntry).result))
 		el.Value = e
 		c.ll.MoveToFront(el)
-		return
+	} else {
+		c.items[e.id] = c.ll.PushFront(e)
 	}
-	c.items[e.id] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).id)
+	c.bytes += int64(len(e.result))
+	for c.ll.Len() > 1 && (c.ll.Len() > c.cap || c.bytes > c.maxBytes) {
+		last := c.ll.Remove(c.ll.Back()).(*cacheEntry)
+		c.bytes -= int64(len(last.result))
+		delete(c.items, last.id)
 	}
 }
 

@@ -36,6 +36,13 @@ import (
 // DefaultCacheEntries bounds the result LRU when Config leaves it unset.
 const DefaultCacheEntries = 256
 
+// DefaultCacheBytes bounds the summed result bytes the LRU holds,
+// alongside the entry cap. Documents run from kilobytes to several
+// megabytes (dvram's average document is about 5.5 MB), so 256 large
+// entries alone could pin over a gigabyte. Results evicted by either bound
+// are still served from the disk result tier when a store is configured.
+const DefaultCacheBytes = 64 << 20
+
 // DefaultMaxQueue is the accept-queue bound the daemon runs with unless
 // told otherwise (§15): deep enough that a burst at typical job
 // durations drains within a Retry-After cycle, shallow enough that
@@ -262,7 +269,7 @@ func NewManager(cfg Config) *Manager {
 		maxQueue:     cfg.MaxQueue,
 		met:          newMetrics(),
 		inflight:     make(map[string]*job),
-		cache:        newResultCache(entries),
+		cache:        newResultCache(entries, DefaultCacheBytes),
 		universes:    make(map[string]*universeFlight),
 		ctr:          Counters{WorkersTotal: w, CacheCapacity: entries, QueueLimit: cfg.MaxQueue},
 	}

@@ -16,13 +16,27 @@ import (
 	"ndetect/internal/store"
 )
 
-func openStore(t *testing.T, dir string) *store.Store {
+// storeManager starts a manager over the store in dir and drains it when
+// the test ends. Completed results persist asynchronously, so a write can
+// outlive the test body; the drain is registered after the t.TempDir that
+// made dir, and cleanups run last-in first-out, so every write lands
+// before the directory is removed.
+func storeManager(t *testing.T, dir string, cfg Config) *Manager {
 	t.Helper()
-	s, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	cfg.Store = st
+	m := NewManager(cfg)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	return m
 }
 
 // The restart contract (DESIGN.md §11): a new manager over the same store
@@ -30,7 +44,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // the first submit, byte-identical to the original, no recomputation.
 func TestRestartServesResultFromStore(t *testing.T) {
 	dir := t.TempDir()
-	m1 := NewManager(Config{Workers: 2, Store: openStore(t, dir)})
+	m1 := storeManager(t, dir, Config{Workers: 2})
 	req := averageReq(7)
 	info, cached, err := m1.Submit(c17(t), req)
 	if err != nil || cached {
@@ -46,9 +60,8 @@ func TestRestartServesResultFromStore(t *testing.T) {
 
 	// "Restart": a fresh manager, a fresh store handle, same directory.
 	var computations atomic.Int64
-	m2 := NewManager(Config{
+	m2 := storeManager(t, dir, Config{
 		Workers: 2,
-		Store:   openStore(t, dir),
 		run: func(c *circuit.Circuit, req exp.AnalysisRequest) (*report.Analysis, error) {
 			computations.Add(1)
 			return exp.AnalyzeCircuit(c, req)
@@ -165,7 +178,7 @@ func TestUniverseTierWarmStart(t *testing.T) {
 		return ndetect.BuildUniverse(c, fm, opts)
 	}
 
-	m1 := NewManager(Config{Workers: 2, Store: openStore(t, dir), newUniverse: counting})
+	m1 := storeManager(t, dir, Config{Workers: 2, newUniverse: counting})
 	info, _, err := m1.Submit(c17(t), averageReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +190,7 @@ func TestUniverseTierWarmStart(t *testing.T) {
 		t.Fatalf("first job built %d universes", builds.Load())
 	}
 
-	m2 := NewManager(Config{Workers: 2, Store: openStore(t, dir), newUniverse: counting})
+	m2 := storeManager(t, dir, Config{Workers: 2, newUniverse: counting})
 	info2, cached, err := m2.Submit(c17(t), averageReq(5)) // new seed: result miss
 	if err != nil || cached {
 		t.Fatalf("different seed should compute: cached=%v err=%v", cached, err)
@@ -285,11 +298,9 @@ func TestEvictionRecoalescesOntoOneComputation(t *testing.T) {
 // Drain stops intake, finishes accepted work, and flushes the store.
 func TestDrain(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir)
 	release := make(chan struct{})
-	m := NewManager(Config{
+	m := storeManager(t, dir, Config{
 		Workers: 2,
-		Store:   st,
 		run: func(c *circuit.Circuit, req exp.AnalysisRequest) (*report.Analysis, error) {
 			<-release
 			return exp.AnalyzeCircuit(c, req)
@@ -321,7 +332,7 @@ func TestDrain(t *testing.T) {
 
 	// The accepted job completed and its result reached the disk tier: a
 	// fresh manager over the same directory serves it without computing.
-	m2 := NewManager(Config{Workers: 1, Store: openStore(t, dir)})
+	m2 := storeManager(t, dir, Config{Workers: 1})
 	again, cached, err := m2.Submit(c17(t), worstcaseReq())
 	if err != nil || !cached || again.ID != info.ID {
 		t.Fatalf("drained result not persisted: cached=%v err=%v", cached, err)
