@@ -219,28 +219,13 @@ func mustCircuit(b *testing.B, name string) *Circuit {
 	return r.Circuit
 }
 
-// BenchmarkExhaustiveParallel measures 64-way bit-parallel materialization
-// of every node's universe bitset — the old production path, kept behind
-// sim.RunRetained as the ablation baseline for the streaming engine.
-func BenchmarkExhaustiveParallel(b *testing.B) {
-	c := mustCircuit(b, "bbara")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunRetained(c, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineCompile measures lowering a circuit into the engine's
-// levelized instruction programs: the pinned analysis program plus the
-// output-directed program with register reuse.
+// levelized analysis program.
 func BenchmarkEngineCompile(b *testing.B) {
 	c := mustCircuit(b, "bbara")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine.CompileAll(c)
-		engine.Compile(c, nil)
 	}
 }
 
@@ -255,7 +240,7 @@ func BenchmarkEngineCompile(b *testing.B) {
 func BenchmarkEngineStream(b *testing.B) {
 	b.Run("bbara", func(b *testing.B) {
 		c := mustCircuit(b, "bbara")
-		u, err := Analyze(c)
+		u, err := Analyze(c, "", AnalyzeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +253,7 @@ func BenchmarkEngineStream(b *testing.B) {
 		b.SetBytes(int64((len(lines) + 1) * nWords * 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e, err := sim.Run(c)
+			e, err := sim.RunWorkers(c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -299,7 +284,7 @@ func BenchmarkEngineStream(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for pi, p := range parts {
-				e, err := sim.Run(p.Circuit)
+				e, err := sim.RunWorkers(p.Circuit, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,7 +322,7 @@ func BenchmarkTransitionTSets(b *testing.B) {
 	c := mustCircuit(b, "bbtas")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, err := AnalyzeModel(c, "transition", AnalyzeOptions{})
+		u, err := Analyze(c, "transition", AnalyzeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -347,22 +332,12 @@ func BenchmarkTransitionTSets(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveNaive measures scalar per-vector simulation (the
-// ablation baseline).
-func BenchmarkExhaustiveNaive(b *testing.B) {
-	c := mustCircuit(b, "bbara")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.NaiveExhaustive(c)
-	}
-}
-
 // BenchmarkTSetsViaPropMasks measures T-set extraction alone (cone replay
 // shared per line, the production streaming path) against a pre-built
 // simulation view, isolating it from compile time.
 func BenchmarkTSetsViaPropMasks(b *testing.B) {
 	c := mustCircuit(b, "bbara")
-	e, err := sim.Run(c)
+	e, err := sim.RunWorkers(c, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -373,24 +348,8 @@ func BenchmarkTSetsViaPropMasks(b *testing.B) {
 	}
 }
 
-// BenchmarkTSetsPerFault measures per-fault scalar resimulation (the
-// ablation baseline) on a slice of the fault list.
-func BenchmarkTSetsPerFault(b *testing.B) {
-	c := mustCircuit(b, "bbara")
-	faults := allStuckAt(c)
-	if len(faults) > 40 {
-		faults = faults[:40] // the naive path is ~1000× slower; sample it
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, f := range faults {
-			sim.NaiveStuckAtTSet(c, f)
-		}
-	}
-}
-
 func allStuckAt(c *Circuit) []StuckAt {
-	u, err := Analyze(c)
+	u, err := Analyze(c, "", AnalyzeOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -445,7 +404,7 @@ func BenchmarkEncodings(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				u, err := core.FromCircuit(r.Circuit)
+				u, err := core.BuildUniverse(r.Circuit, fault.Default(), core.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -477,7 +436,7 @@ func BenchmarkTwoLevelVsMultiLevel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				u, err := core.FromCircuit(r.Circuit)
+				u, err := core.BuildUniverse(r.Circuit, fault.Default(), core.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -88,7 +88,7 @@ func main() {
 		fail(fmt.Errorf("specify exactly one of -netlist or -bench"))
 	}
 
-	u, err := ndetect.AnalyzeParallel(c, *workersF)
+	u, err := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{Workers: *workersF})
 	if err != nil {
 		fail(err)
 	}

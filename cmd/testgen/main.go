@@ -65,7 +65,7 @@ func main() {
 		fail(fmt.Errorf("specify exactly one of -bench or -netlist"))
 	}
 
-	u, err := ndetect.AnalyzeParallel(c, *workersF)
+	u, err := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{Workers: *workersF})
 	if err != nil {
 		fail(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 
 	var perPart []map[string]int
 	for i, p := range parts {
-		u, err := ndetect.Analyze(p.Circuit)
+		u, err := ndetect.Analyze(p.Circuit, "", ndetect.AnalyzeOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

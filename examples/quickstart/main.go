@@ -34,7 +34,7 @@ func main() {
 	// Analyze builds the paper's two fault universes over the exhaustive
 	// input space U = {0..15}: F = collapsed stuck-at faults (targets),
 	// G = four-way bridging faults (untargeted).
-	u, err := ndetect.Analyze(c)
+	u, err := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

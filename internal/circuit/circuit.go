@@ -191,24 +191,6 @@ func (c *Circuit) TopoOrder() []int { return c.order }
 // a levelized program walks the netlist front to back exactly once.
 func (c *Circuit) LevelOrder() []int { return c.levelOrder }
 
-// ConsumerCounts returns, for every node, the number of times its value is
-// read: once per gate input pin it drives plus once per primary-output
-// observation. The engine's register allocator retires a node's register
-// after its last read — the liveness information behind "live registers ≪
-// nodes" for output-directed programs.
-func (c *Circuit) ConsumerCounts() []int {
-	counts := make([]int, len(c.Nodes))
-	for _, n := range c.Nodes {
-		for _, f := range n.Fanin {
-			counts[f]++
-		}
-	}
-	for _, o := range c.Outputs {
-		counts[o]++
-	}
-	return counts
-}
-
 // MaxLevel returns the largest node level (circuit depth).
 func (c *Circuit) MaxLevel() int {
 	m := 0

@@ -27,9 +27,9 @@ import (
 type ConeProgram struct {
 	Site int
 	// Sites lists every fault site of the cone in faulty-bank register
-	// order: register i belongs to Sites[i]. Single-site cones (CompileCone)
-	// have Sites = [Site]; multi-site cones (CompileCones) seed each site
-	// register with a forced constant via RunForced.
+	// order: register i belongs to Sites[i]. Single-site cones have
+	// Sites = [Site]; multi-site cones seed each site register with a
+	// forced constant via PropForcedInto.
 	Sites   []int
 	Instrs  []Instr
 	NumRegs int
@@ -45,17 +45,18 @@ type ConeProgram struct {
 	// by a chain of Buf/Branch/Not nodes only. Such a chain commutes with
 	// complement, so the flipped site forces bad == ^good at that output at
 	// every vector, making the propagation mask all-ones without replaying
-	// anything. Only single-site flip semantics (Run/PropInto) support the
-	// argument — forced constants (RunForced) do not complement the site.
+	// anything. Only single-site flip semantics (PropInto) support the
+	// argument — forced constants (PropForcedInto) do not complement the
+	// site.
 	alwaysProp bool
 
 	// selfSeed records that the program's first emitted definition computes
 	// the flipped site itself (r0 ← NOT of the good-bank site register), so
-	// Run/PropInto skip the external seeding pass — and, more importantly,
-	// the fusion pass may fold the seeding NOT into its consumers and then
+	// PropInto skips the external seeding pass — and, more importantly, the
+	// fusion pass may fold the seeding NOT into its consumers and then
 	// remove it entirely. Single-site cones only; forced replay
-	// (RunForced/PropForcedInto) rejects self-seeded programs, since the
-	// embedded complement would overwrite the forced constant.
+	// (PropForcedInto) rejects self-seeded programs, since the embedded
+	// complement would overwrite the forced constant.
 	selfSeed bool
 }
 
@@ -105,11 +106,10 @@ type ConeCompiler struct {
 // either way; only the instruction encoding differs.
 func (cc *ConeCompiler) SetFusion(on bool) { cc.noFuse = !on }
 
-// NewConeCompiler returns a cone compiler for this program. The program
-// must come from CompileAll, so every side input a cone reads is
-// materialized.
+// NewConeCompiler returns a cone compiler for this program. Every node of
+// a CompileAll program is materialized, so every side input a cone reads
+// is available in the good bank.
 func (p *Program) NewConeCompiler() *ConeCompiler {
-	p.mustKeepAll("NewConeCompiler")
 	n := p.Circuit.NumNodes()
 	cc := &ConeCompiler{
 		p:      p,
@@ -126,31 +126,19 @@ func (p *Program) NewConeCompiler() *ConeCompiler {
 	return cc
 }
 
-// CompileCone lowers the transitive fanout cone of site against this
-// program's register file.
-func (p *Program) CompileCone(site int) *ConeProgram {
-	return p.NewConeCompiler().Compile([]int{site})
-}
-
-// CompileCones lowers the union of several sites' fanout cones into one
-// program: the faulty bank reserves registers 0..len(sites)-1 for the
-// sites themselves (seeded by Run or RunForced), every downstream node on a
-// path from any site to an output is recomputed, and side inputs outside
-// every cone read from the good bank. This is the kernel of multiple-fault
-// analysis: force all sites at once, replay the union cone, compare
-// reachable outputs.
-func (p *Program) CompileCones(sites []int) *ConeProgram {
-	return p.NewConeCompiler().Compile(sites)
-}
-
 func (cc *ConeCompiler) regOf(f int) int32 {
 	if cc.done[f] == cc.epoch {
 		return cc.badReg[f]
 	}
-	return ^cc.p.NodeReg[f] // good bank
+	return ^int32(f) // good bank
 }
 
-// Compile lowers the union fanout cone of sites. The result is a pure
+// Compile lowers the union fanout cone of sites. A single site yields the
+// line's flip cone (PropInto). Several sites yield the kernel of
+// multiple-fault analysis (PropForcedInto): the faulty bank reserves
+// registers 0..len(sites)-1 for the sites themselves, every downstream
+// node on a path from any site to an output is recomputed, and side inputs
+// outside every cone read from the good bank. The result is a pure
 // function of (program, sites): scratch reuse and batch order never change
 // the emitted instructions.
 func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
@@ -190,7 +178,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	if single {
 		// Self-seed: compute the flipped site as the program's first
 		// instruction so fusion can fold the complement into consumers.
-		instrs = append(instrs, Instr{Op: OpNot, Dst: 0, A: ^cc.p.NodeReg[sites[0]]})
+		instrs = append(instrs, Instr{Op: OpNot, Dst: 0, A: ^int32(sites[0])})
 	}
 	for _, o := range c.Outputs {
 		if cc.inCone[o] != ep {
@@ -233,7 +221,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 			}
 			cc.seg = seg[:0]
 		}
-		outs = append(outs, ConeOut{Good: cc.p.NodeReg[o], Bad: cc.badReg[o]})
+		outs = append(outs, ConeOut{Good: int32(o), Bad: cc.badReg[o]})
 		segEnd = append(segEnd, int32(len(instrs)))
 		if cc.odd[o] == ep {
 			alwaysProp = true
@@ -313,28 +301,6 @@ func (cx *ConeExec) Reserve(numRegs int) {
 	}
 }
 
-// Run replays the cone over x's current block: the site register is filled
-// with the flipped good value, then every cone instruction executes,
-// reading good-bank operands from x.
-func (cx *ConeExec) Run(cp *ConeProgram, x *Exec) {
-	cx.bind(cp, x)
-	if !cp.selfSeed {
-		notWords(cx.reg(0), x.Node(cp.Site))
-	}
-	cx.execInstrs(cp.Instrs, x)
-}
-
-// RunForced replays the cone with every site register held at a constant:
-// vals[i] is the value forced onto cp.Sites[i] across the whole block.
-// Comparing reachable outputs against the good machine afterwards (OrProp)
-// yields exactly the vectors at which the multiple stuck-at fault
-// {Sites[i] stuck at vals[i]} is detected — activation is implicit in the
-// output comparison.
-func (cx *ConeExec) RunForced(cp *ConeProgram, x *Exec, vals []bool) {
-	cx.seedForced(cp, x, vals)
-	cx.execInstrs(cp.Instrs, x)
-}
-
 func (cx *ConeExec) seedForced(cp *ConeProgram, x *Exec, vals []bool) {
 	if cp.selfSeed {
 		panic("engine: forced replay on a self-seeded (single-site flip) cone program")
@@ -376,10 +342,11 @@ func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
 	cx.propSegments(cp, x, dst)
 }
 
-// PropForcedInto is PropInto for forced multi-site replay (RunForced
-// semantics): it overwrites dst with the detection mask of the multiple
-// stuck-at fault {Sites[i] stuck at vals[i]}, with the same segmented
-// early exit.
+// PropForcedInto is PropInto for forced multi-site replay: every site
+// register is held at a constant, vals[i] on cp.Sites[i] across the whole
+// block, and dst is overwritten with the detection mask of the multiple
+// stuck-at fault {Sites[i] stuck at vals[i]} — activation is implicit in
+// the output comparison — with the same segmented early exit.
 func (cx *ConeExec) PropForcedInto(cp *ConeProgram, x *Exec, vals []bool, dst []uint64) {
 	cx.seedForced(cp, x, vals)
 	dst = dst[:cx.n]
@@ -463,16 +430,6 @@ func (cx *ConeExec) execInstrs(instrs []Instr, x *Exec) {
 			// Cones never contain inputs or constants: both are fanin-free.
 			panic(fmt.Sprintf("engine: op %v in cone program", ins.Op))
 		}
-	}
-}
-
-// OrProp ORs into dst (length ≥ block words) the words where any reachable
-// output of the cone disagrees with the good machine — the block's slice of
-// the site's flip-propagation mask. Run or RunForced must have executed for
-// x's current block.
-func (cx *ConeExec) OrProp(cp *ConeProgram, dst []uint64, x *Exec) {
-	for _, co := range cp.Outputs {
-		orDiffWords(dst[:cx.n], x.Reg(co.Good), cx.reg(co.Bad))
 	}
 }
 

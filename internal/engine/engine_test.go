@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/oracle"
 )
 
 // randomCircuit builds a random normalized DAG circuit (the same shape the
@@ -47,25 +48,9 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, gates int) *circuit.Cir
 	return c
 }
 
-func TestScalarMatchesCircuitEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		c := randomCircuit(t, rng, 3+rng.Intn(6), 5+rng.Intn(25))
-		p := CompileAll(c)
-		regs := make([]bool, p.NumRegs)
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			p.EvalScalar(uint64(v), regs)
-			want := c.Eval(uint64(v))
-			for id := range c.Nodes {
-				if regs[p.NodeReg[id]] != want[id] {
-					t.Fatalf("trial %d node %d v=%d: scalar %v, reference %v",
-						trial, id, v, regs[p.NodeReg[id]], want[id])
-				}
-			}
-		}
-	}
-}
-
+// TestWordBlocksMatchScalar: the word-block interpreter, at random block
+// widths, agrees with the scalar reference circuit.Eval at every node and
+// vector.
 func TestWordBlocksMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
@@ -75,7 +60,6 @@ func TestWordBlocksMatchScalar(t *testing.T) {
 		nWords := (size + 63) / 64
 		blockWords := 1 + rng.Intn(5)
 		x := NewExec(p, blockWords)
-		regs := make([]bool, p.NumRegs)
 		for lo := 0; lo < nWords; lo += blockWords {
 			hi := min(lo+blockWords, nWords)
 			x.Eval(lo, hi)
@@ -85,11 +69,11 @@ func TestWordBlocksMatchScalar(t *testing.T) {
 					if v >= size {
 						break
 					}
-					p.EvalScalar(uint64(v), regs)
+					want := c.Eval(uint64(v))
 					for id := range c.Nodes {
 						got := x.Node(id)[w]&(1<<uint(b)) != 0
-						if got != regs[p.NodeReg[id]] {
-							t.Fatalf("trial %d node %d v=%d: word %v, scalar %v", trial, id, v, got, regs[p.NodeReg[id]])
+						if got != want[id] {
+							t.Fatalf("trial %d node %d v=%d: word %v, circuit.Eval %v", trial, id, v, got, want[id])
 						}
 					}
 				}
@@ -98,61 +82,10 @@ func TestWordBlocksMatchScalar(t *testing.T) {
 	}
 }
 
-func TestOutputDirectedCompileMatchesKeepAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 15; trial++ {
-		c := randomCircuit(t, rng, 4+rng.Intn(5), 8+rng.Intn(25))
-		full := CompileAll(c)
-		lean := Compile(c, nil)
-		fregs := make([]bool, full.NumRegs)
-		lregs := make([]bool, lean.NumRegs)
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			full.EvalScalar(uint64(v), fregs)
-			lean.EvalScalar(uint64(v), lregs)
-			for i := range c.Outputs {
-				if lregs[lean.OutputReg[i]] != fregs[full.OutputReg[i]] {
-					t.Fatalf("trial %d output %d v=%d disagrees", trial, i, v)
-				}
-			}
-		}
-	}
-}
-
-// TestRegisterReuse pins the "live registers ≪ nodes" property: a deep
-// chain of gates needs a constant-size register file when only the output
-// is kept, because every interior register is retired after its single
-// read.
-func TestRegisterReuse(t *testing.T) {
-	b := circuit.NewBuilder("chain")
-	b.Input("x0")
-	b.Input("x1")
-	b.Gate(circuit.And, "g0", "x0", "x1")
-	prev := "g0"
-	for i := 1; i < 100; i++ {
-		n := "g" + strconv.Itoa(i)
-		kind := circuit.Not
-		if i%2 == 0 {
-			kind = circuit.Buf
-		}
-		b.Gate(kind, n, prev)
-		prev = n
-	}
-	b.Output(prev)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	p := Compile(c, nil)
-	if p.NumRegs >= c.NumNodes()/4 {
-		t.Fatalf("chain of %d nodes compiled to %d registers; reuse is not engaging", c.NumNodes(), p.NumRegs)
-	}
-	if CompileAll(c).NumRegs != c.NumNodes() {
-		t.Fatal("CompileAll must pin every node")
-	}
-}
-
-// TestDeadLogicElimination: logic reaching no output and no kept node is
-// not compiled.
+// TestDeadLogicElimination: cone logic that reaches no output is never
+// compiled. Line a fans out to an observed gate and to a gate no output
+// reads; a's cone allocates registers for the site and the observed path
+// only.
 func TestDeadLogicElimination(t *testing.T) {
 	b := circuit.NewBuilder("dead")
 	b.Input("a")
@@ -164,20 +97,29 @@ func TestDeadLogicElimination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	p := Compile(c, nil)
+	a, _ := c.NodeByName("a")
 	dead, _ := c.NodeByName("dead")
-	if p.NodeReg[dead.ID] != -1 {
-		t.Fatal("dead node was materialized")
+	fanout := c.TransitiveFanout(a.ID)
+	observed := c.TransitiveFanin(c.Outputs[0])
+	if !fanout[dead.ID] || observed[dead.ID] {
+		t.Fatal("test circuit: dead must be in a's fanout cone and unobserved")
 	}
-	kept := Compile(c, []int{dead.ID})
-	if kept.NodeReg[dead.ID] < 0 {
-		t.Fatal("kept node was not materialized")
+	live := 0 // cone nodes besides the site that reach the output
+	for id := range c.Nodes {
+		if id != a.ID && fanout[id] && observed[id] {
+			live++
+		}
+	}
+	cc := CompileAll(c).NewConeCompiler()
+	cc.SetFusion(false)
+	if cp := cc.Compile([]int{a.ID}); cp.NumRegs != 1+live {
+		t.Fatalf("cone of a has %d registers, want %d (site + observed path)", cp.NumRegs, 1+live)
 	}
 }
 
 // TestConeMatchesFullFlip: replaying a line's compiled cone against a good
 // block must reproduce exactly the outputs of a full re-evaluation with the
-// line forced to its complement.
+// line forced to its complement, as computed by the independent oracle.
 func TestConeMatchesFullFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 15; trial++ {
@@ -187,23 +129,17 @@ func TestConeMatchesFullFlip(t *testing.T) {
 		x := NewExec(p, nWords)
 		x.Eval(0, nWords)
 		cx := NewConeExec(nWords)
-		good := make([]bool, p.NumRegs)
-		bad := make([]bool, p.NumRegs)
+		good := make([][]bool, c.VectorSpaceSize())
+		for v := range good {
+			good[v] = c.Eval(uint64(v))
+		}
 		for site := 0; site < c.NumNodes(); site++ {
-			cp := p.CompileCone(site)
-			cx.Run(cp, x)
+			cp := p.NewConeCompiler().Compile([]int{site})
 			prop := make([]uint64, nWords)
-			cx.OrProp(cp, prop, x)
+			cx.PropInto(cp, x, prop)
 			for v := 0; v < c.VectorSpaceSize(); v++ {
-				p.EvalScalar(uint64(v), good)
-				p.EvalScalarForced(uint64(v), site, !good[site], bad)
-				want := false
-				for _, o := range c.Outputs {
-					if good[o] != bad[o] {
-						want = true
-						break
-					}
-				}
+				bad := oracle.EvalForced(c, uint64(v), map[int]bool{site: !good[v][site]})
+				want := oracle.Detects(c, good[v], bad)
 				if got := prop[v/64]&(1<<uint(v%64)) != 0; got != want {
 					t.Fatalf("trial %d site %d v=%d: cone prop %v, forced reference %v",
 						trial, site, v, got, want)
@@ -214,7 +150,8 @@ func TestConeMatchesFullFlip(t *testing.T) {
 }
 
 // TestExecTVDefinitePatterns: on fully definite rails the dual-rail
-// interpreter must agree with the scalar interpreter at every node.
+// interpreter must agree with the scalar reference circuit.Eval at every
+// node.
 func TestExecTVDefinitePatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
@@ -238,17 +175,16 @@ func TestExecTVDefinitePatterns(t *testing.T) {
 			p1[id], p0[id] = r1, r0
 		}
 		p.ExecTV(c.TopoOrder(), p1, p0)
-		regs := make([]bool, n)
 		for j := 0; j < k; j++ {
-			p.EvalScalar(uint64(j), regs)
+			want := c.Eval(uint64(j))
 			for id := range c.Nodes {
 				d1 := p1[id]&(1<<uint(j)) != 0
 				d0 := p0[id]&(1<<uint(j)) != 0
 				if d1 == d0 {
 					t.Fatalf("trial %d node %d pattern %d: definite input gave X or contradiction", trial, id, j)
 				}
-				if d1 != regs[id] {
-					t.Fatalf("trial %d node %d pattern %d: dual-rail %v, scalar %v", trial, id, j, d1, regs[id])
+				if d1 != want[id] {
+					t.Fatalf("trial %d node %d pattern %d: dual-rail %v, circuit.Eval %v", trial, id, j, d1, want[id])
 				}
 			}
 		}

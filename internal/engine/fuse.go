@@ -9,16 +9,14 @@ package engine
 // NOT of an invertible definition into the complemented opcode, converting
 // self-accumulating steps to OpXxxAcc — then removes dead definitions.
 //
-// The pass is applied to output-directed programs (Compile) and cone
-// programs, never to CompileAll programs: those pin node = register and
-// promise per-node instruction ranges (nodeInstr) to ExecTV and
-// EvalScalarForced, which fusion would break.
+// The pass is applied to cone programs, never to CompileAll programs: those
+// pin node = register and promise per-node instruction ranges (nodeInstr)
+// to ExecTV, which fusion would break.
 //
-// Register files here are not SSA — Compile reuses retired registers and
-// accumulator chains redefine their destination — so every forwarded
-// operand carries a definition-count stamp and is only used while the
-// stamp still matches. Negative operands (the good bank of cone programs)
-// are external and always valid.
+// Register files here are not SSA — accumulator chains redefine their
+// destination — so every forwarded operand carries a definition-count
+// stamp and is only used while the stamp still matches. Negative operands
+// (the good bank of cone programs) are external and always valid.
 
 const opInvalid Op = 0xff
 

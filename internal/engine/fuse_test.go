@@ -86,62 +86,10 @@ func FuzzConeFusion(f *testing.F) {
 	})
 }
 
-// TestFusedProgramWidthsAgree pins the three-width contract for fused
-// opcodes at the whole-program level: the output-directed Compile runs the
-// fusion pass, so its scalar interpreter (EvalScalar), word-block
-// interpreter (Eval), and the unfused CompileAll reference must agree at
-// every vector.
-func TestFusedProgramWidthsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(t, rng, 7+rng.Intn(3), 12+rng.Intn(25))
-		full := CompileAll(c)
-		lean := Compile(c, nil)
-
-		size := c.VectorSpaceSize()
-		nWords := (size + 63) / 64
-		bw := tileWords + 2 // exercises both the tile loop and the word tail
-		xf := NewExec(full, bw)
-		xl := NewExec(lean, bw)
-		fregs := make([]bool, full.NumRegs)
-		lregs := make([]bool, lean.NumRegs)
-		for lo := 0; lo < nWords; lo += bw {
-			hi := min(lo+bw, nWords)
-			xf.Eval(lo, hi)
-			xl.Eval(lo, hi)
-			for i := range c.Outputs {
-				fw := xf.Reg(full.OutputReg[i])
-				lw := xl.Reg(lean.OutputReg[i])
-				for w := 0; w < hi-lo; w++ {
-					if fw[w] != lw[w] {
-						t.Fatalf("trial %d output %d word %d: fused block %#x, reference %#x",
-							trial, i, lo+w, lw[w], fw[w])
-					}
-				}
-			}
-			for w := 0; w < hi-lo; w++ {
-				for b := 0; b < 64; b++ {
-					v := (lo+w)*64 + b
-					if v >= size {
-						break
-					}
-					full.EvalScalar(uint64(v), fregs)
-					lean.EvalScalar(uint64(v), lregs)
-					for i := range c.Outputs {
-						if fregs[full.OutputReg[i]] != lregs[lean.OutputReg[i]] {
-							t.Fatalf("trial %d output %d v=%d: fused scalar disagrees", trial, i, v)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSelfSeedConeRejectsForced pins the self-seed safety contract: a
 // single-site cone embeds its own complement as the first instruction, so
-// forcing a constant onto the site would be silently overwritten — the
-// forced-replay entry points must panic instead.
+// forcing a constant onto the site would be silently overwritten — forced
+// replay must panic instead.
 func TestSelfSeedConeRejectsForced(t *testing.T) {
 	b := circuit.NewBuilder("selfseed")
 	b.Input("a")
@@ -153,26 +101,19 @@ func TestSelfSeedConeRejectsForced(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	p := CompileAll(c)
-	cp := p.CompileCone(c.Outputs[0])
+	cp := p.NewConeCompiler().Compile([]int{c.Outputs[0]})
 	if !cp.selfSeed {
 		t.Fatal("single-site cone is not self-seeded")
 	}
 	x := NewExec(p, 1)
 	x.Eval(0, 1)
 	cx := NewConeExec(1)
-	for _, run := range []func(){
-		func() { cx.RunForced(cp, x, []bool{true}) },
-		func() { cx.PropForcedInto(cp, x, []bool{true}, make([]uint64, 1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("forced replay on a self-seeded cone did not panic")
-				}
-			}()
-			run()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("forced replay on a self-seeded cone did not panic")
+		}
+	}()
+	cx.PropForcedInto(cp, x, []bool{true}, make([]uint64, 1))
 }
 
 // TestAlwaysPropConePropInto pins the inverter-chain shortcut: a site
@@ -201,7 +142,7 @@ func TestAlwaysPropConePropInto(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %q missing", name)
 		}
-		cp := p.CompileCone(n.ID)
+		cp := p.NewConeCompiler().Compile([]int{n.ID})
 		if !cp.AlwaysProp() {
 			t.Fatalf("cone of %q: AlwaysProp = false, want true", name)
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"ndetect/internal/bench"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
 	"ndetect/internal/sim"
@@ -81,7 +82,7 @@ func RunCircuitWorkers(name string, workers int) (*CircuitRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := ndetect.FromCircuitWorkers(r.Circuit, workers)
+	u, err := ndetect.BuildUniverse(r.Circuit, fault.Default(), ndetect.AnalyzeOptions{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@
 //
 // Both analyses are functions of the exhaustive detection sets T(f) ⊆ U
 // alone, so the package's model is an abstract Universe of named faults with
-// bitset T-sets; FromCircuit binds a gate-level circuit to that model using
-// the fault and sim packages.
+// bitset T-sets; BuildUniverse binds a gate-level circuit to that model
+// using the fault and sim packages.
 package ndetect
 
 import (
@@ -104,7 +104,7 @@ func (u *CircuitUniverse) Bridges() []fault.Bridge {
 // never influence results.
 type Progress func(stage string, done, total int)
 
-// AnalyzeOptions configures FromCircuitOptions. Workers only changes
+// AnalyzeOptions configures BuildUniverse. Workers only changes
 // wall-clock time and Progress only observes — neither is part of the
 // result identity (DESIGN.md §7): the universe built is byte-identical for
 // every setting.
@@ -116,35 +116,18 @@ type AnalyzeOptions struct {
 	Progress Progress
 }
 
-// FromCircuit builds the paper's experimental setup for a circuit:
+// BuildUniverse builds the analysis universe for a circuit under a fault
+// model. Under fault.Default() this is the paper's experimental setup:
 //
 //	F = collapsed single stuck-at faults (undetectable ones retained; they
 //	    never influence either analysis, exactly as in the paper), and
 //	G = detectable non-feedback four-way bridging faults between outputs of
 //	    multi-input gates.
-func FromCircuit(c *circuit.Circuit) (*CircuitUniverse, error) {
-	return FromCircuitWorkers(c, 0)
-}
-
-// FromCircuitWorkers is FromCircuit with an explicit worker count for the
-// exhaustive simulation and T-set construction (0 = one worker per CPU,
-// 1 = serial). The universe built is identical for every worker count.
-func FromCircuitWorkers(c *circuit.Circuit, workers int) (*CircuitUniverse, error) {
-	return FromCircuitOptions(c, AnalyzeOptions{Workers: workers})
-}
-
-// FromCircuitOptions is FromCircuit with explicit options, reporting stage
-// transitions to opts.Progress. It is BuildUniverse under the default
-// model.
-func FromCircuitOptions(c *circuit.Circuit, opts AnalyzeOptions) (*CircuitUniverse, error) {
-	return BuildUniverse(c, fault.Default(), opts)
-}
-
-// BuildUniverse builds the analysis universe for a circuit under a fault
-// model: the model enumerates both structural fault sets, the T-set
-// builder registered in sim under the model's ID computes the detection
-// bitsets against the compiled engine (dropping undetectable untargeted
-// faults), and AssembleUniverse binds the result.
+//
+// The model enumerates both structural fault sets, the T-set builder
+// registered in sim under the model's ID computes the detection bitsets
+// against the compiled engine (dropping undetectable untargeted faults),
+// and AssembleUniverse binds the result.
 //
 // The T-sets are streamed — only the per-fault result bitsets span the
 // model's test-index space — so the construction is bounded by explicit

@@ -1,11 +1,13 @@
 package ndetect
 
 import (
+	"strings"
 	"testing"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
+	"ndetect/internal/oracle"
 	"ndetect/internal/sim"
 )
 
@@ -29,9 +31,9 @@ func exampleCircuit(t *testing.T) *circuit.Circuit {
 
 func TestFromCircuit(t *testing.T) {
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	if u.Size != 16 {
 		t.Fatalf("Size = %d", u.Size)
@@ -52,15 +54,15 @@ func TestFromCircuit(t *testing.T) {
 			t.Fatalf("undetectable bridge %s kept in G", g.Name)
 		}
 	}
-	// Cross-check every target T-set against the naive simulator.
+	// Cross-check every T-set against the independent oracle.
 	for i, f := range u.StuckAt() {
-		want := sim.NaiveStuckAtTSet(c, f)
+		want := oracle.StuckAtTSet(c, f)
 		if !u.Targets[i].T.Equal(want) {
 			t.Fatalf("T(%s) mismatch", u.Targets[i].Name)
 		}
 	}
 	for i, g := range u.Bridges() {
-		want := sim.NaiveBridgeTSet(c, g)
+		want := oracle.BridgeTSet(c, g)
 		if !u.Untargeted[i].T.Equal(want) {
 			t.Fatalf("T(%s) mismatch", u.Untargeted[i].Name)
 		}
@@ -69,9 +71,9 @@ func TestFromCircuit(t *testing.T) {
 
 func TestFromCircuitBridgeUniverseShape(t *testing.T) {
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	// Candidate bridges: pair (g9,g10) → 4 faults; detectable subset only.
 	if len(fault.Bridges(c)) != 4 {
@@ -132,9 +134,9 @@ func TestDetectableTargets(t *testing.T) {
 func TestFromCircuitEndToEndWorstCase(t *testing.T) {
 	// Full pipeline sanity: worst-case analysis on the example circuit.
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	wc := WorstCase(&u.Universe)
 	for j, nm := range wc.NMin {
@@ -214,5 +216,36 @@ func TestIsNDetection(t *testing.T) {
 	}
 	if ts.IsNDetection(3, targets) {
 		t.Fatal("3-detection should fail: f1 has a third unused test")
+	}
+}
+
+// TestBuildUniverseMemoryBudget drives the production budget path: with
+// sim.MemoryBudget lowered below what the result T-sets need, building the
+// universe under each registered model must fail with the budget error
+// before anything universe-sized is allocated, and succeed again once the
+// budget is restored.
+func TestBuildUniverseMemoryBudget(t *testing.T) {
+	c, err := circuit.EmbeddedBench("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sim.MemoryBudget
+	defer func() { sim.MemoryBudget = old }()
+	for _, id := range []string{fault.DefaultModelID, "msa2", "transition"} {
+		m, err := fault.Resolve(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// c17's |U| = 32 packs one T-set into 4 bytes (a transition pair
+		// set into 128), so a 16-byte budget holds no model's results.
+		sim.MemoryBudget = 16
+		_, err = BuildUniverse(c, m, AnalyzeOptions{Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "sim.MemoryBudget") {
+			t.Errorf("model %s: BuildUniverse under a 16-byte budget returned %v, want the budget error", id, err)
+		}
+		sim.MemoryBudget = old
+		if _, err := BuildUniverse(c, m, AnalyzeOptions{Workers: 1}); err != nil {
+			t.Errorf("model %s: BuildUniverse under the default budget: %v", id, err)
+		}
 	}
 }

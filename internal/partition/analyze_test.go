@@ -6,6 +6,7 @@ import (
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 )
 
@@ -30,9 +31,9 @@ func TestAnalyzePartsExactOnFullPart(t *testing.T) {
 		}
 		c := r.Circuit
 
-		u, err := ndetect.FromCircuit(c)
+		u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{})
 		if err != nil {
-			t.Fatalf("%s: FromCircuit: %v", name, err)
+			t.Fatalf("%s: BuildUniverse: %v", name, err)
 		}
 		wc := ndetect.WorstCase(&u.Universe)
 		want := make(map[string]int, len(u.Untargeted))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 )
 
@@ -112,9 +113,9 @@ func TestPartsAnalyzable(t *testing.T) {
 		t.Fatalf("Split: %v", err)
 	}
 	for _, p := range parts {
-		u, err := ndetect.FromCircuit(p.Circuit)
+		u, err := ndetect.BuildUniverse(p.Circuit, fault.Default(), ndetect.AnalyzeOptions{})
 		if err != nil {
-			t.Fatalf("FromCircuit(%v): %v", p.Outputs, err)
+			t.Fatalf("BuildUniverse(%v, fault.Default(), AnalyzeOptions{}): %v", p.Outputs, err)
 		}
 		wc := ndetect.WorstCase(&u.Universe)
 		for _, nm := range wc.NMin {

@@ -1,31 +1,28 @@
 // Package sim computes everything the analysis needs from a circuit by
 // exhaustive simulation of its input space U:
 //
-//   - flip-propagation masks (per line, the vectors at which flipping the
-//     line is visible at a primary output),
 //   - the exhaustive detection sets T(f) for stuck-at faults and T(g) for
-//     four-way bridging faults, and
+//     four-way bridging faults (and the other registered fault models'
+//     T-sets), each the intersection of a fault's activation with its
+//     line's flip-propagation mask, and
 //   - 3-valued (0/1/X) simulation with fault injection, used by the paper's
 //     Definition 2 of distinct detections.
 //
 // The heavy lifting happens in package engine: circuits are compiled once
 // into a levelized instruction program, and every analysis streams U in
 // word blocks through that program, accumulating only the per-fault result
-// bitsets. Per-node value bitsets over all of U are materialized only on
-// request (RunRetained) for the ablation benchmarks and value-inspection
-// tests.
+// bitsets; no per-node value bitset over all of U is ever materialized.
 //
 // The paper's analysis "is based on the set U of all the input vectors of
 // the circuit" and "can be done only for circuits with small numbers of
-// inputs"; Run enforces the same restriction, though streaming moved the
-// practical ceiling from 24 to 28 inputs.
+// inputs"; RunWorkers enforces the same restriction, though streaming moved
+// the practical ceiling from 24 to 28 inputs.
 package sim
 
 import (
 	"fmt"
 	"sync"
 
-	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/engine"
 )
@@ -40,48 +37,38 @@ import (
 const MaxInputs = 28
 
 // MemoryBudget bounds, in bytes, the bitset memory a single analysis may
-// materialize: the per-fault T-sets of a universe construction, or the
-// per-node value sets of RunRetained. It exists so that raising MaxInputs
-// cannot silently turn into a multi-gigabyte allocation — wide circuits
-// with large fault universes must go through the partition package instead.
+// materialize: the per-fault T-sets of a universe construction. It exists
+// so that raising MaxInputs cannot silently turn into a multi-gigabyte
+// allocation — wide circuits with large fault universes must go through
+// the partition package instead.
 var MemoryBudget = int64(4) << 30
 
 // CheckResultBudget returns an error when materializing `sets` result
 // bitsets over the circuit's vector space would exceed MemoryBudget.
 func CheckResultBudget(c *circuit.Circuit, sets int) error {
-	bytes := int64(sets) * int64((c.VectorSpaceSize()+7)/8)
-	if bytes > MemoryBudget {
-		return fmt.Errorf("sim: circuit %q: %d result bitsets over |U| = 2^%d need %d MiB, over the %d MiB budget (raise sim.MemoryBudget or partition the circuit)",
-			c.Name, sets, c.NumInputs(), bytes>>20, MemoryBudget>>20)
-	}
-	return nil
+	return CheckSpaceBudget(c.Name, int64(c.VectorSpaceSize()), sets)
 }
 
 // CheckSpaceBudget is CheckResultBudget over an arbitrary test-index
 // space: fault models whose T-sets range over something other than U
 // itself (the transition model's U×U pair space) bound their result
-// memory against the same budget.
+// memory against the same budget. The comparison divides instead of
+// multiplying, so no space or set count can overflow it into a pass.
 func CheckSpaceBudget(name string, space int64, sets int) error {
-	bytes := int64(sets) * ((space + 7) / 8)
-	if bytes > MemoryBudget {
-		return fmt.Errorf("sim: circuit %q: %d result bitsets over a space of %d indices need %d MiB, over the %d MiB budget (raise sim.MemoryBudget)",
-			name, sets, space, bytes>>20, MemoryBudget>>20)
+	perSet := (space + 7) / 8
+	if sets > 0 && perSet > MemoryBudget/int64(sets) {
+		return fmt.Errorf("sim: circuit %q: %d result bitsets over a space of %d indices need %.0f MiB, over the %d MiB budget (raise sim.MemoryBudget or partition the circuit)",
+			name, sets, space, float64(perSet)*float64(sets)/(1<<20), MemoryBudget>>20)
 	}
 	return nil
 }
 
 // Exhaustive is a compiled view of a circuit's exhaustive input space: the
-// analyses derived from it (PropMasks, StuckAtTSets, BridgeTSets) stream U
-// in word blocks through the compiled program, never materializing per-node
-// value bitsets.
+// analyses derived from it (StuckAtTSets, BridgeTSets and the model T-set
+// builders) stream U in word blocks through the compiled program, never
+// materializing per-node value bitsets.
 type Exhaustive struct {
 	Circuit *Circuit
-
-	// Values holds, per node, the bitset over U of vectors where the node
-	// is 1. It is nil unless the simulation was built with RunRetained —
-	// the opt-in escape hatch for the ablation benchmarks and for tests
-	// that inspect individual node values.
-	Values []*bitset.Set
 
 	// Workers bounds the parallelism of every analysis derived from this
 	// simulation. 0 means one worker per CPU; 1 reproduces the serial
@@ -98,17 +85,11 @@ type Exhaustive struct {
 // signatures see the dependency explicitly.
 type Circuit = circuit.Circuit
 
-// Run compiles the circuit for exhaustive streaming analysis, using one
-// worker per CPU (see RunWorkers).
-func Run(c *Circuit) (*Exhaustive, error) {
-	return RunWorkers(c, 0)
-}
-
-// RunWorkers is Run with an explicit worker count (0 = one per CPU). It
-// validates the input bound and lowers the circuit to the engine's
-// levelized instruction program; the returned view computes all derived
-// analyses by streaming U in word blocks, so no universe-sized memory is
-// touched here.
+// RunWorkers compiles the circuit for exhaustive streaming analysis with
+// the given worker count (0 = one per CPU, 1 = serial). It validates the
+// input bound and lowers the circuit to the engine's levelized instruction
+// program; the returned view computes all derived analyses by streaming U
+// in word blocks, so no universe-sized memory is touched here.
 func RunWorkers(c *Circuit, workers int) (*Exhaustive, error) {
 	if m := c.NumInputs(); m > MaxInputs {
 		return nil, fmt.Errorf("sim: circuit %q has %d inputs; exhaustive analysis is limited to %d (partition the circuit)", c.Name, m, MaxInputs)
@@ -119,30 +100,6 @@ func RunWorkers(c *Circuit, workers int) (*Exhaustive, error) {
 		prog:    engine.CompileAll(c),
 		cones:   make(map[int]*engine.ConeProgram),
 	}, nil
-}
-
-// RunRetained is RunWorkers plus materialization of Values, the per-node
-// bitsets over all of U that the pre-engine implementation always built.
-// Only the ablation benchmarks and value-inspection tests need it; every
-// production analysis streams instead. The materialization is checked
-// against MemoryBudget.
-func RunRetained(c *Circuit, workers int) (*Exhaustive, error) {
-	e, err := RunWorkers(c, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckResultBudget(c, c.NumNodes()); err != nil {
-		return nil, err
-	}
-	size := c.VectorSpaceSize()
-	e.Values = bitset.NewBatch(size, c.NumNodes())
-	nWords := universeWords(size)
-	streamBlocks(e.prog, e.Workers, nWords, blockWordsFor(nWords, e.Workers), func(lo, hi int, x *engine.Exec) {
-		for id, set := range e.Values {
-			set.SetRange(lo, x.Node(id))
-		}
-	})
-	return e, nil
 }
 
 // streamBlocks evaluates the program over all universe words in blocks of
@@ -175,18 +132,6 @@ func (e *Exhaustive) newConeCompiler() *engine.ConeCompiler {
 		cc.SetFusion(false)
 	}
 	return cc
-}
-
-// coneFor returns the compiled fanout cone of a line, cached per line.
-func (e *Exhaustive) coneFor(id int) *engine.ConeProgram {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cp := e.cones[id]
-	if cp == nil {
-		cp = e.newConeCompiler().Compile([]int{id})
-		e.cones[id] = cp
-	}
-	return cp
 }
 
 // conesFor returns the compiled fanout cones of all requested lines,
@@ -226,45 +171,6 @@ func (e *Exhaustive) conesFor(lines []int) []*engine.ConeProgram {
 	}
 	e.mu.Unlock()
 	return cps
-}
-
-// Value returns the good value of node id at vector v. It requires a
-// RunRetained simulation — the streaming view deliberately keeps no
-// per-node universe.
-func (e *Exhaustive) Value(id int, v int) bool {
-	if e.Values == nil {
-		panic("sim: Value requires RunRetained (the streaming view keeps no per-node universe)")
-	}
-	return e.Values[id].Contains(v)
-}
-
-// OutputVectors returns, per primary output, the bitset of vectors at which
-// that output is 1, checking the result allocation against MemoryBudget.
-// Without retained Values it streams an output-directed program — dead
-// logic eliminated and registers reused, so the scratch is O(live
-// registers · block).
-func (e *Exhaustive) OutputVectors() ([]*bitset.Set, error) {
-	c := e.Circuit
-	if err := CheckResultBudget(c, len(c.Outputs)); err != nil {
-		return nil, err
-	}
-	if e.Values != nil {
-		out := make([]*bitset.Set, len(c.Outputs))
-		for i, o := range c.Outputs {
-			out[i] = e.Values[o].Clone()
-		}
-		return out, nil
-	}
-	prog := engine.Compile(c, nil)
-	size := c.VectorSpaceSize()
-	out := bitset.NewBatch(size, len(c.Outputs))
-	nWords := universeWords(size)
-	streamBlocks(prog, e.Workers, nWords, blockWordsFor(nWords, e.Workers), func(lo, hi int, x *engine.Exec) {
-		for i, r := range prog.OutputReg {
-			out[i].SetRange(lo, x.Reg(r))
-		}
-	})
-	return out, nil
 }
 
 // universeWords returns the 64-bit word count covering a universe size.

@@ -3,57 +3,9 @@ package sim
 import (
 	"testing"
 
-	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
+	"ndetect/internal/oracle"
 )
-
-// evalForced is a test-local double-fault reference evaluator: circuit.Eval
-// with the nodes in forced overridden to their stuck values, so masking
-// between the two sites plays out exactly as in the real faulty machine.
-func evalForced(c *circuit.Circuit, vector uint64, forced map[int]bool) []bool {
-	vals := make([]bool, c.NumNodes())
-	for i, id := range c.Inputs {
-		vals[id] = circuit.VectorBit(vector, i, c.NumInputs())
-	}
-	for _, id := range c.TopoOrder() {
-		if fv, ok := forced[id]; ok {
-			vals[id] = fv
-			continue
-		}
-		n := c.Node(id)
-		switch n.Kind {
-		case circuit.Input:
-			// set above
-		case circuit.Const0:
-			vals[id] = false
-		case circuit.Const1:
-			vals[id] = true
-		case circuit.Buf, circuit.Branch:
-			vals[id] = vals[n.Fanin[0]]
-		case circuit.Not:
-			vals[id] = !vals[n.Fanin[0]]
-		case circuit.And, circuit.Nand:
-			v := true
-			for _, f := range n.Fanin {
-				v = v && vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Nand)
-		case circuit.Or, circuit.Nor:
-			v := false
-			for _, f := range n.Fanin {
-				v = v || vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Nor)
-		case circuit.Xor, circuit.Xnor:
-			v := false
-			for _, f := range n.Fanin {
-				v = v != vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Xnor)
-		}
-	}
-	return vals
-}
 
 // TestMSA2TSetsMatchNaive cross-checks the forced-cone pair builder against
 // the reference evaluator, vector by vector: v detects the double stuck-at
@@ -81,7 +33,7 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 		i, isKept := keptIdx[d]
 		detectable := false
 		for v := 0; v < size; v++ {
-			bad := evalForced(c, uint64(v), forced)
+			bad := oracle.EvalForced(c, uint64(v), forced)
 			want := false
 			for _, o := range c.Outputs {
 				if good[v][o] != bad[o] {
@@ -111,10 +63,10 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 		t.Fatalf("got %d target T-sets, want %d", len(tT), len(targets))
 	}
 	for i, d := range targets {
-		naive := NaiveStuckAtTSet(c, d.StuckAt())
+		naive := oracle.StuckAtTSet(c, d.StuckAt())
 		for v := 0; v < size; v++ {
 			if tT[i].Contains(v) != naive.Contains(v) {
-				t.Fatalf("target %s: vector %d disagrees with naive", m.Provider(fault.TargetSet).Name(c, d), v)
+				t.Fatalf("target %s: vector %d disagrees with the oracle", m.Provider(fault.TargetSet).Name(c, d), v)
 			}
 		}
 	}

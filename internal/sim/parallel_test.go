@@ -57,32 +57,18 @@ func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 }
 
 // TestRunWorkersDeterministic checks the central contract of the streaming
-// engine: block-parallel value materialization and T-set construction
-// produce byte-identical results for every worker count, on a circuit large
-// enough (16 inputs → 1024 words) that block sharding actually engages.
+// engine: block-parallel T-set construction produces byte-identical results
+// for every worker count, on a circuit large enough (16 inputs → 1024
+// words) that block sharding actually engages.
 func TestRunWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := randomCircuit(t, rng, 16, 60)
 
-	r1, err := RunRetained(c, 1)
-	if err != nil {
-		t.Fatalf("RunRetained(1): %v", err)
-	}
 	e1, err := RunWorkers(c, 1)
 	if err != nil {
 		t.Fatalf("RunWorkers(1): %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		rN, err := RunRetained(c, workers)
-		if err != nil {
-			t.Fatalf("RunRetained(%d): %v", workers, err)
-		}
-		for id := range r1.Values {
-			if !r1.Values[id].Equal(rN.Values[id]) {
-				t.Fatalf("workers=%d: node %d values differ from serial", workers, id)
-			}
-		}
-
 		eN, err := RunWorkers(c, workers)
 		if err != nil {
 			t.Fatalf("RunWorkers(%d): %v", workers, err)
@@ -107,22 +93,31 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunMatchesRunWorkersSerial pins RunRetained (auto worker count) to
-// the serial reference on the small shared test circuit, where block
-// sharding never engages but the fault-level pools do.
+// TestRunMatchesRunWorkersSerial pins the auto worker count to the serial
+// reference on the small shared test circuit, where block sharding never
+// engages but the fault-level pools do.
 func TestRunMatchesRunWorkersSerial(t *testing.T) {
 	c := testCircuit(t)
-	a, err := RunRetained(c, 0)
+	a, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRetained(c, 1)
+	b, err := RunWorkers(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range a.Values {
-		if !a.Values[id].Equal(b.Values[id]) {
-			t.Fatalf("node %d: RunRetained(0) and RunRetained(1) disagree", id)
+	faults := fault.AllStuckAt(c)
+	ta, tb := a.StuckAtTSets(faults), b.StuckAtTSets(faults)
+	for i, f := range faults {
+		if !ta[i].Equal(tb[i]) {
+			t.Fatalf("fault %s: RunWorkers(0) and RunWorkers(1) disagree", f.Name(c))
+		}
+	}
+	bridges := fault.Bridges(c)
+	ba, bb := a.BridgeTSets(bridges), b.BridgeTSets(bridges)
+	for i, g := range bridges {
+		if !ba[i].Equal(bb[i]) {
+			t.Fatalf("bridge %s: RunWorkers(0) and RunWorkers(1) disagree", g.Name(c))
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/engine"
 	"ndetect/internal/fault"
+	"ndetect/internal/oracle"
 )
 
 // testCircuit builds the 4-input example used across the sim tests:
@@ -71,38 +73,41 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, gates int) *circuit.Cir
 	return c
 }
 
-func TestRunMatchesScalarEval(t *testing.T) {
-	c := testCircuit(t)
-	e, err := RunRetained(c, 0)
+// checkStreamMatchesEval streams the compiled good machine over U in
+// blocks of blockWords words on the given worker count — the schedule
+// every T-set builder reads its good values from — and checks every node
+// at every vector against circuit.Eval.
+func checkStreamMatchesEval(t *testing.T, c *circuit.Circuit, workers, blockWords int) {
+	t.Helper()
+	e, err := RunWorkers(c, workers)
 	if err != nil {
-		t.Fatalf("RunRetained: %v", err)
+		t.Fatalf("RunWorkers: %v", err)
 	}
-	for v := 0; v < c.VectorSpaceSize(); v++ {
-		want := c.Eval(uint64(v))
-		for id := range c.Nodes {
-			if got := e.Value(id, v); got != want[id] {
-				t.Fatalf("node %s at v=%d: parallel %v, scalar %v", c.Node(id).Name, v, got, want[id])
+	size := c.VectorSpaceSize()
+	streamBlocks(e.prog, workers, universeWords(size), blockWords, func(lo, hi int, x *engine.Exec) {
+		for v := lo * 64; v < min(hi*64, size); v++ {
+			want := c.Eval(uint64(v))
+			for id := range c.Nodes {
+				if got := x.Node(id)[v/64-lo]>>(v%64)&1 != 0; got != want[id] {
+					t.Errorf("%s node %d at v=%d: streamed %v, circuit.Eval %v", c.Name, id, v, got, want[id])
+					return
+				}
 			}
 		}
-	}
+	})
+}
+
+func TestRunMatchesScalarEval(t *testing.T) {
+	checkStreamMatchesEval(t, testCircuit(t), 1, 1)
 }
 
 func TestRunMatchesScalarEvalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
-		c := randomCircuit(t, rng, 3+rng.Intn(6), 5+rng.Intn(25))
-		e, err := RunRetained(c, 0)
-		if err != nil {
-			t.Fatalf("RunRetained: %v", err)
-		}
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			want := c.Eval(uint64(v))
-			for id := range c.Nodes {
-				if got := e.Value(id, v); got != want[id] {
-					t.Fatalf("trial %d node %d v=%d: parallel %v scalar %v", trial, id, v, got, want[id])
-				}
-			}
-		}
+		c := randomCircuit(t, rng, 3+rng.Intn(10), 5+rng.Intn(25))
+		// One-word blocks over up to four workers: many blocks, each
+		// evaluated by a pooled execution context reused across blocks.
+		checkStreamMatchesEval(t, c, 1+rng.Intn(4), 1)
 	}
 }
 
@@ -119,23 +124,23 @@ func TestRunRejectsWideCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, err := Run(c); err == nil {
-		t.Fatalf("Run accepted a %d-input circuit", MaxInputs+2)
+	if _, err := RunWorkers(c, 0); err == nil {
+		t.Fatalf("RunWorkers accepted a %d-input circuit", MaxInputs+2)
 	}
 }
 
 func TestStuckAtTSetsMatchNaive(t *testing.T) {
 	c := testCircuit(t)
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunWorkers: %v", err)
 	}
 	faults := fault.AllStuckAt(c)
 	tsets := e.StuckAtTSets(faults)
 	for i, f := range faults {
-		want := NaiveStuckAtTSet(c, f)
+		want := oracle.StuckAtTSet(c, f)
 		if !tsets[i].Equal(want) {
-			t.Fatalf("fault %s: parallel %s, naive %s", f.Name(c), tsets[i], want)
+			t.Fatalf("fault %s: streamed %s, oracle %s", f.Name(c), tsets[i], want)
 		}
 	}
 }
@@ -144,16 +149,16 @@ func TestStuckAtTSetsMatchNaiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		c := randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunWorkers: %v", err)
 		}
 		faults := fault.AllStuckAt(c)
 		tsets := e.StuckAtTSets(faults)
 		for i, f := range faults {
-			want := NaiveStuckAtTSet(c, f)
+			want := oracle.StuckAtTSet(c, f)
 			if !tsets[i].Equal(want) {
-				t.Fatalf("trial %d fault %s: parallel %s, naive %s", trial, f.Name(c), tsets[i], want)
+				t.Fatalf("trial %d fault %s: streamed %s, oracle %s", trial, f.Name(c), tsets[i], want)
 			}
 		}
 	}
@@ -163,16 +168,16 @@ func TestBridgeTSetsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		c := randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunWorkers: %v", err)
 		}
 		bridges := fault.Bridges(c)
 		tsets := e.BridgeTSets(bridges)
 		for i, g := range bridges {
-			want := NaiveBridgeTSet(c, g)
+			want := oracle.BridgeTSet(c, g)
 			if !tsets[i].Equal(want) {
-				t.Fatalf("trial %d bridge %s: parallel %s, naive %s", trial, g.Name(c), tsets[i], want)
+				t.Fatalf("trial %d bridge %s: streamed %s, oracle %s", trial, g.Name(c), tsets[i], want)
 			}
 		}
 	}
@@ -183,9 +188,9 @@ func TestKnownTSets(t *testing.T) {
 	// g12... the stem i3 fans out). Check a stem fault instead: output g11
 	// stuck-at-0 is detected wherever g11=1.
 	c := testCircuit(t)
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunWorkers: %v", err)
 	}
 	g11, _ := c.NodeByName("g11")
 	// g11 may fan out only to the output (no branches), so its prop mask is
@@ -207,8 +212,10 @@ func TestKnownTSets(t *testing.T) {
 	}
 }
 
+// TestPropMaskOfUnobservableNode: a node that reaches no output has an
+// empty flip-propagation mask. The mask of a line is T(l/0) ∪ T(l/1), so
+// both of its stuck-at T-sets must be empty.
 func TestPropMaskOfUnobservableNode(t *testing.T) {
-	// A node that doesn't reach any output has an empty prop mask.
 	b := circuit.NewBuilder("dangling")
 	b.Input("a")
 	b.Input("c")
@@ -219,61 +226,30 @@ func TestPropMaskOfUnobservableNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunWorkers: %v", err)
 	}
 	un, _ := c.NodeByName("unused")
-	if !e.PropMask(un.ID).IsEmpty() {
-		t.Fatal("unobservable node has non-empty prop mask")
-	}
-}
-
-func TestNaiveExhaustiveMatchesRun(t *testing.T) {
-	c := testCircuit(t)
-	e, _ := RunRetained(c, 0)
-	naive := NaiveExhaustive(c)
-	for id := range c.Nodes {
-		if !e.Values[id].Equal(naive[id]) {
-			t.Fatalf("node %d differs", id)
-		}
-	}
-}
-
-func TestOutputVectors(t *testing.T) {
-	c := testCircuit(t)
-	// Both the retained fast path and the streaming output-directed path
-	// must agree with the scalar reference.
-	retained, _ := RunRetained(c, 0)
-	streaming, _ := Run(c)
-	for name, e := range map[string]*Exhaustive{"retained": retained, "streaming": streaming} {
-		outs, err := e.OutputVectors()
-		if err != nil {
-			t.Fatalf("%s: OutputVectors: %v", name, err)
-		}
-		if len(outs) != 2 {
-			t.Fatalf("%s: outputs = %d", name, len(outs))
-		}
-		for v := 0; v < 16; v++ {
-			want := c.OutputsOf(c.Eval(uint64(v)))
-			if outs[0].Contains(v) != want[0] || outs[1].Contains(v) != want[1] {
-				t.Fatalf("%s: OutputVectors wrong at %d", name, v)
-			}
+	for _, ts := range e.StuckAtTSets([]fault.StuckAt{{Node: un.ID, Value: false}, {Node: un.ID, Value: true}}) {
+		if !ts.IsEmpty() {
+			t.Fatalf("unobservable node has a non-empty stuck-at T-set %s", ts)
 		}
 	}
 }
 
 // ---- Engine acceptance tests -------------------------------------------
 //
-// `go test -run Engine -v` exercises the streaming-kernel contract: all
-// three compiled widths agree with the retained naive reference, the
-// streaming path materializes no per-node universe bitsets, and circuits
-// wider than the old 24-input ceiling pass.
+// `go test -run Engine -v` exercises the streaming-kernel contract: both
+// compiled evaluators agree with independent oracles, the streaming path
+// materializes no per-node universe bitsets, circuits wider than the old
+// 24-input ceiling pass, and result memory is bounded by MemoryBudget.
 
 // TestEngineModesAgreeRandom is the fuzz cross-check harness: random
-// circuits run through the compiled width-1 (scalar), word-block, and
-// dual-rail modes, asserting exact agreement with the retained naive
-// references (circuit.Eval for two-valued, SimulateTV for three-valued).
+// circuits run through the compiled word-block and dual-rail modes,
+// asserting exact agreement with oracles that share no code with the
+// engine (package oracle for two-valued detection, the Kleene simulator in
+// oracle_test.go for three-valued).
 func TestEngineModesAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -284,16 +260,16 @@ func TestEngineModesAgreeRandom(t *testing.T) {
 		}
 		faults := fault.AllStuckAt(c)
 		word := e.StuckAtTSets(faults) // word-block streaming
+		compiled := CompileCircuit(c)
 
 		for fi, f := range faults {
-			scalar := NaiveStuckAtTSet(c, f) // compiled width-1
-			if !word[fi].Equal(scalar) {
-				t.Fatalf("trial %d fault %s: word-block %s, width-1 %s",
-					trial, f.Name(c), word[fi], scalar)
+			if want := oracle.StuckAtTSet(c, f); !word[fi].Equal(want) {
+				t.Fatalf("trial %d fault %s: word-block %s, oracle %s",
+					trial, f.Name(c), word[fi], want)
 			}
 			// Dual-rail mode on fully specified patterns must agree with
 			// T-set membership vector by vector.
-			fc := NewFaultCone(c, f.Node)
+			fc := compiled.NewFaultCone(f.Node)
 			for base := 0; base < c.VectorSpaceSize(); base += 64 {
 				var patterns [][]TV
 				for v := base; v < c.VectorSpaceSize() && v < base+64; v++ {
@@ -308,20 +284,9 @@ func TestEngineModesAgreeRandom(t *testing.T) {
 			}
 		}
 
-		// Width-1 good machine vs the retained scalar reference.
-		naive := NaiveExhaustive(c)
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			want := c.Eval(uint64(v))
-			for id := range c.Nodes {
-				if naive[id].Contains(v) != want[id] {
-					t.Fatalf("trial %d node %d v=%d: width-1 %v, reference %v",
-						trial, id, v, naive[id].Contains(v), want[id])
-				}
-			}
-		}
 		if len(faults) > 0 {
 			f := faults[rng.Intn(len(faults))]
-			fc := NewFaultCone(c, f.Node)
+			fc := compiled.NewFaultCone(f.Node)
 			for iter := 0; iter < 20; iter++ {
 				ti := uint64(rng.Intn(c.VectorSpaceSize()))
 				tj := uint64(rng.Intn(c.VectorSpaceSize()))
@@ -422,20 +387,39 @@ func TestEngineWideCircuit(t *testing.T) {
 }
 
 // TestEngineBudgetCheck pins the explicit memory-budget guard that made
-// raising MaxInputs safe.
+// raising MaxInputs safe, including requests whose byte count does not fit
+// in an int64: 2^56 indices (the transition model's pair space at 28
+// inputs) times 1024 or 4096 sets must be refused, not wrapped into a pass.
 func TestEngineBudgetCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	c := randomCircuit(t, rng, 20, 10)
 	old := MemoryBudget
 	defer func() { MemoryBudget = old }()
-	MemoryBudget = 1 << 20 // 1 MiB: a 2^20-vector universe set is 128 KiB
+	MemoryBudget = 1 << 20 // 1 MiB: a 2^20-index set is 128 KiB
+	for _, tc := range []struct {
+		space int64
+		sets  int
+		fits  bool
+	}{
+		{1 << 20, 0, true},
+		{1 << 20, 4, true},
+		{1 << 20, 8, true}, // exactly the budget
+		{1 << 20, 9, false},
+		{1 << 20, 100, false},
+		{1 << 56, 1, false},
+		{1 << 56, 1024, false}, // 2^63 bytes: wraps to MinInt64 when multiplied
+		{1 << 56, 4096, false}, // 2^65 bytes: wraps to 0 when multiplied
+	} {
+		err := CheckSpaceBudget("x", tc.space, tc.sets)
+		if (err == nil) != tc.fits {
+			t.Errorf("CheckSpaceBudget(space %d, %d sets) = %v, want fits=%v", tc.space, tc.sets, err, tc.fits)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	c := randomCircuit(t, rng, 20, 10)
 	if err := CheckResultBudget(c, 4); err != nil {
 		t.Fatalf("4 sets × 128 KiB must fit a 1 MiB budget: %v", err)
 	}
 	if err := CheckResultBudget(c, 100); err == nil {
 		t.Fatal("100 sets × 128 KiB passed a 1 MiB budget")
-	}
-	if _, err := RunRetained(c, 1); err == nil {
-		t.Fatal("RunRetained materialized past the budget")
 	}
 }

@@ -68,23 +68,14 @@ func TestSaturationDroppingDeterministic(t *testing.T) {
 		}
 	}
 
-	ids := make([]int, c.NumNodes())
-	for i := range ids {
-		ids[i] = i
-	}
-	m1 := e1.PropMasks(ids)
-	m8 := e8.PropMasks(ids)
-	for _, id := range ids {
-		if !m1[id].Equal(m8[id]) {
-			t.Fatalf("node %d: prop masks differ between 1 and 8 workers", id)
-		}
-	}
-
 	// Spot-check the engineered saturation against first principles: s's
-	// flip reaches o1 = XOR(s, x2) at every vector, so its mask is all of U.
+	// flip reaches o1 = XOR(s, x2) at every vector, so every vector detects
+	// one of its two stuck-at faults: T(s/0) ∪ T(s/1) = U, and the two sets
+	// are disjoint (s/0 is activated only where s = 1).
 	sn, _ := c.NodeByName("s")
-	if got, want := m1[sn.ID].Count(), c.VectorSpaceSize(); got != want {
-		t.Fatalf("prop mask of s has %d vectors, want the full universe %d", got, want)
+	ts := e1.StuckAtTSets([]fault.StuckAt{{Node: sn.ID, Value: false}, {Node: sn.ID, Value: true}})
+	if got, want := ts[0].Count()+ts[1].Count(), c.VectorSpaceSize(); got != want {
+		t.Fatalf("T(s/0) ∪ T(s/1) has %d vectors, want the full universe %d", got, want)
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // and no pair-space simulation ever runs. (ISSUE 6 sketches a dual-rail
 // ExecTV construction; the product form is mathematically identical — the
 // two coordinates of a two-pattern test are independent full vectors — and
-// avoids |U|² engine passes. The cross-check against naive per-pair scalar
-// simulation lives in transition_test.go.)
+// avoids |U|² engine passes. The pair-by-pair cross-check against the
+// independent oracle package lives in transition_test.go.)
 //
 // Stuck-at targets are lifted to the pair space by either-coordinate
 // detection: a two-pattern test applies both of its vectors, so

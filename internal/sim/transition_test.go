@@ -6,6 +6,7 @@ import (
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
+	"ndetect/internal/oracle"
 )
 
 func embeddedCircuit(t *testing.T, name string) *circuit.Circuit {
@@ -30,7 +31,7 @@ func buildModelTSets(t *testing.T, c *circuit.Circuit, id string) (fault.Model, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func buildModelTSets(t *testing.T, c *circuit.Circuit, id string) (fault.Model, 
 // builder against the definitional membership rule, pair by pair: (v1, v2)
 // detects a transition fault on line l mimicking stuck value V iff l
 // carries V at v1 (initialization) and v2 detects l stuck-at-V (launch),
-// with the launch factor taken from the scalar reference simulator.
+// with the launch factor taken from the independent oracle package.
 // c17 (|U| = 32) exercises liftProduct's bit loop; s27 (|U| = 128) the
 // word-aligned row fast path.
 func TestTransitionTSetsMatchNaive(t *testing.T) {
@@ -70,7 +71,7 @@ func TestTransitionTSetsMatchNaive(t *testing.T) {
 				keptIdx[d] = i
 			}
 			for _, d := range fault.EnumerateSet(m, c, fault.UntargetedSet) {
-				naiveDet := NaiveStuckAtTSet(c, d.StuckAt())
+				naiveDet := oracle.StuckAtTSet(c, d.StuckAt())
 				fname := m.Provider(fault.UntargetedSet).Name(c, d)
 				i, isKept := keptIdx[d]
 				detectable := false
@@ -82,15 +83,15 @@ func TestTransitionTSetsMatchNaive(t *testing.T) {
 						switch {
 						case isKept:
 							if got := uT[i].Contains(v1*size + v2); got != want {
-								t.Fatalf("%s: pair (%d,%d): builder says %v, naive says %v", fname, v1, v2, got, want)
+								t.Fatalf("%s: pair (%d,%d): builder says %v, oracle says %v", fname, v1, v2, got, want)
 							}
 						case want:
-							t.Fatalf("%s: dropped as undetectable, but naive detects it at (%d,%d)", fname, v1, v2)
+							t.Fatalf("%s: dropped as undetectable, but oracle detects it at (%d,%d)", fname, v1, v2)
 						}
 					}
 				}
 				if isKept && !detectable {
-					t.Errorf("%s: kept, but naive finds no detecting pair", fname)
+					t.Errorf("%s: kept, but oracle finds no detecting pair", fname)
 				}
 			}
 
@@ -102,13 +103,13 @@ func TestTransitionTSetsMatchNaive(t *testing.T) {
 				t.Fatalf("got %d target T-sets, want %d (targets are never filtered)", len(tT), len(targets))
 			}
 			for i, d := range targets {
-				naive := NaiveStuckAtTSet(c, d.StuckAt())
+				naive := oracle.StuckAtTSet(c, d.StuckAt())
 				fname := m.Provider(fault.TargetSet).Name(c, d)
 				for v1 := 0; v1 < size; v1++ {
 					for v2 := 0; v2 < size; v2++ {
 						want := naive.Contains(v1) || naive.Contains(v2)
 						if got := tT[i].Contains(v1*size + v2); got != want {
-							t.Fatalf("target %s: pair (%d,%d): lifted says %v, naive says %v", fname, v1, v2, got, want)
+							t.Fatalf("target %s: pair (%d,%d): lifted says %v, oracle says %v", fname, v1, v2, got, want)
 						}
 					}
 				}

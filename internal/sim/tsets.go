@@ -105,32 +105,3 @@ func (e *Exhaustive) BridgeTSets(bridges []fault.Bridge) []*bitset.Set {
 	})
 	return out
 }
-
-// FilterDetectable drops faults with empty T-sets, returning parallel
-// filtered slices. It is used to realize the paper's "detectable ...
-// four-way bridging faults" universe and, when desired, a detectable target
-// set.
-func FilterDetectableBridges(bridges []fault.Bridge, tsets []*bitset.Set) ([]fault.Bridge, []*bitset.Set) {
-	var fb []fault.Bridge
-	var ft []*bitset.Set
-	for i, t := range tsets {
-		if !t.IsEmpty() {
-			fb = append(fb, bridges[i])
-			ft = append(ft, t)
-		}
-	}
-	return fb, ft
-}
-
-// FilterDetectableStuckAt drops stuck-at faults with empty T-sets.
-func FilterDetectableStuckAt(faults []fault.StuckAt, tsets []*bitset.Set) ([]fault.StuckAt, []*bitset.Set) {
-	var ff []fault.StuckAt
-	var ft []*bitset.Set
-	for i, t := range tsets {
-		if !t.IsEmpty() {
-			ff = append(ff, faults[i])
-			ft = append(ft, t)
-		}
-	}
-	return ff, ft
-}

@@ -16,7 +16,7 @@ func TestDetectsTVBatchMatchesScalar(t *testing.T) {
 		m := c.NumInputs()
 		faults := fault.AllStuckAt(c)
 		for _, f := range faults[:min(len(faults), 12)] {
-			cone := NewFaultCone(c, f.Node)
+			cone := CompileCircuit(c).NewFaultCone(f.Node)
 			var patterns [][]TV
 			for i := 0; i < 50; i++ {
 				p := make([]TV, m)
@@ -47,7 +47,7 @@ func TestDetectsTVBatchEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	c := randomCircuit(t, rng, 4, 10)
 	f := fault.AllStuckAt(c)[0]
-	cone := NewFaultCone(c, f.Node)
+	cone := CompileCircuit(c).NewFaultCone(f.Node)
 
 	if got := cone.DetectsTVBatch(nil, f.Value); got != nil {
 		t.Fatal("empty batch should return nil")
@@ -79,7 +79,7 @@ func TestFaultConeUnobservable(t *testing.T) {
 	// Find a node that reaches no output, if any (dangling gates happen in
 	// random circuits when later gates are the only outputs).
 	for _, n := range c.Nodes {
-		cone := NewFaultCone(c, n.ID)
+		cone := CompileCircuit(c).NewFaultCone(n.ID)
 		if len(cone.outputs) > 0 {
 			continue
 		}

@@ -35,13 +35,6 @@ func CompileCircuit(c *circuit.Circuit) *Compiled {
 	return &Compiled{c: c, prog: engine.CompileAll(c)}
 }
 
-// NewFaultCone compiles the circuit and precomputes the fanout and fanin
-// cones of the given node. Callers creating cones for many faults of the
-// same circuit should go through CompileCircuit.
-func NewFaultCone(c *circuit.Circuit, site int) *FaultCone {
-	return CompileCircuit(c).NewFaultCone(site)
-}
-
 // NewFaultCone precomputes the fanout and fanin cones of the given node
 // against the shared compiled program.
 func (p *Compiled) NewFaultCone(site int) *FaultCone {
@@ -68,14 +61,16 @@ func (p *Compiled) NewFaultCone(site int) *FaultCone {
 }
 
 // DetectsTV reports whether the (possibly partial) pattern detects the
-// stuck-at fault (site stuck at stuckVal) under 3-valued simulation. It is
-// equivalent to sim.DetectsTV for the same fault, staged for speed: the
-// good machine is first evaluated only on the site's fanin cone — if the
-// site is not definitely excited no detection is possible (in Kleene logic
-// the faulty machine refines the good one whenever the site's good value is
-// X or equals the stuck value, so definite outputs cannot change) — and
-// only then completed, with the faulty pass re-simulating just the fanout
-// cone. It is DetectsTVBatch at batch size one.
+// stuck-at fault (site stuck at stuckVal) under 3-valued simulation: some
+// primary output must take definite, differing values in the good and
+// faulty circuits, so an X at an output never counts as a detection. It is
+// staged for speed: the good machine is first evaluated only on the site's
+// fanin cone — if the site is not definitely excited no detection is
+// possible (in Kleene logic the faulty machine refines the good one
+// whenever the site's good value is X or equals the stuck value, so
+// definite outputs cannot change) — and only then completed, with the
+// faulty pass re-simulating just the fanout cone. It is DetectsTVBatch at
+// batch size one.
 func (fc *FaultCone) DetectsTV(pattern []TV, stuckVal bool) bool {
 	if len(pattern) != fc.c.NumInputs() {
 		panic("sim: FaultCone pattern length mismatch")

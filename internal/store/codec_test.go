@@ -21,7 +21,7 @@ func c17Universe(t *testing.T) (*circuit.Circuit, *ndetect.CircuitUniverse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := ndetect.FromCircuit(c)
+	u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

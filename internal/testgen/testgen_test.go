@@ -7,6 +7,7 @@ import (
 	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 )
 
@@ -104,9 +105,9 @@ func TestCompactOnPaddedSet(t *testing.T) {
 func TestGreedySmallerThanRandom(t *testing.T) {
 	// The whole point of a compact generator: materially smaller sets than
 	// Procedure 1's random ones at the same n.
-	u, err := ndetect.FromCircuit(mustBench(t))
+	u, err := ndetect.BuildUniverse(mustBench(t), fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	const n = 5
 	compact := GreedyCompact(&u.Universe, n)
@@ -135,9 +136,9 @@ func TestGrowthApproximatelyLinear(t *testing.T) {
 	// The paper's premise: compact n-detection test set size grows roughly
 	// linearly with n. Verify size(n) is monotone and size(10) stays well
 	// under 10.5 × size(1) while exceeding 2 × size(1).
-	u, err := ndetect.FromCircuit(mustBench(t))
+	u, err := ndetect.BuildUniverse(mustBench(t), fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	sizes := make([]int, 0, 10)
 	prev := 0
@@ -159,9 +160,9 @@ func TestGrowthApproximatelyLinear(t *testing.T) {
 }
 
 func TestCoverageImprovesWithN(t *testing.T) {
-	u, err := ndetect.FromCircuit(mustBench(t))
+	u, err := ndetect.BuildUniverse(mustBench(t), fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	c1 := Coverage(GreedyCompact(&u.Universe, 1), u.Untargeted)
 	c10 := Coverage(GreedyCompact(&u.Universe, 10), u.Untargeted)
@@ -239,9 +240,9 @@ func TestGreedyNeverWorseThanRandomOnRoomyCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	u, err := ndetect.FromCircuit(r.Circuit)
+	u, err := ndetect.BuildUniverse(r.Circuit, fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	const n = 3
 	compact := GreedyCompact(&u.Universe, n)

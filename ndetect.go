@@ -17,7 +17,7 @@
 // # Quick start
 //
 //	c, _ := ndetect.ParseNetlist(netlistText)
-//	u, _ := ndetect.Analyze(c)
+//	u, _ := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{})
 //	wc := ndetect.WorstCase(&u.Universe)
 //	fmt.Println(wc.CoverageAt(10)) // fraction of G guaranteed by any 10-detection set
 //
@@ -85,8 +85,8 @@ type (
 	// Progress observes coarse stage transitions of a long-running
 	// analysis (stage name, done, total). It never influences results.
 	Progress = core.Progress
-	// AnalyzeOptions configures AnalyzeWith: a worker budget and an
-	// optional progress hook, neither part of the result identity.
+	// AnalyzeOptions configures Analyze: a worker budget and an optional
+	// progress hook, neither part of the result identity.
 	AnalyzeOptions = core.AnalyzeOptions
 	// Procedure1Result holds detection statistics over the K runs.
 	Procedure1Result = core.Procedure1Result
@@ -160,32 +160,6 @@ func Synthesize(m *STG, opts SynthOptions) (*SynthResult, error) {
 	return synth.Synthesize(m, opts)
 }
 
-// Analyze builds the paper's experimental setup for a circuit: F = collapsed
-// stuck-at faults, G = detectable non-feedback four-way bridging faults
-// between outputs of multi-input gates, with all T-sets computed by
-// streaming the exhaustive input space in word blocks through the compiled
-// circuit (one worker per CPU; see AnalyzeParallel). Circuits are accepted
-// up to MaxExhaustiveInputs inputs, subject to the result-memory budget
-// check described in DESIGN.md §9.
-func Analyze(c *Circuit) (*CircuitUniverse, error) { return core.FromCircuit(c) }
-
-// AnalyzeParallel is Analyze with an explicit worker count for the
-// exhaustive simulation and T-set construction: 0 means one worker per CPU,
-// 1 forces the serial path. The universe built is identical for every
-// worker count; only wall-clock time changes. See DESIGN.md §5.
-func AnalyzeParallel(c *Circuit, workers int) (*CircuitUniverse, error) {
-	return core.FromCircuitWorkers(c, workers)
-}
-
-// AnalyzeWith is Analyze with explicit options: a worker budget and an
-// optional progress hook observing the construction stages (simulate,
-// stuck-at T-sets, bridge T-sets). Long-lived callers — the ndetectd
-// serving layer is one — use the hook for live job status; it never
-// changes the universe built.
-func AnalyzeWith(c *Circuit, opts AnalyzeOptions) (*CircuitUniverse, error) {
-	return core.FromCircuitOptions(c, opts)
-}
-
 // FaultModels lists the registered fault-model IDs in sorted order. The
 // default model — the paper's setup, DefaultFaultModel — is always
 // present; "transition" (two-pattern transition faults) and "msa2"
@@ -197,14 +171,23 @@ func FaultModels() []string { return fault.ModelIDs() }
 // experimental setup.
 const DefaultFaultModel = fault.DefaultModelID
 
-// AnalyzeModel is AnalyzeWith under an explicit fault model: the target
-// and untargeted sets — and the test-index space their T-sets range over
-// — come from the registered model instead of the paper's stuck-at +
-// bridging default ("" selects the default; see FaultModels). For the
-// "transition" model the universe indexes ordered two-pattern tests
-// (v1, v2) ∈ U×U, so Universe.Size is |U|²; Definition 2 requires single
-// stuck-at targets and is unavailable under models without them.
-func AnalyzeModel(c *Circuit, model string, opts AnalyzeOptions) (*CircuitUniverse, error) {
+// Analyze builds the fault universe of a circuit under a registered fault
+// model, with every T-set computed by streaming the exhaustive input space
+// in word blocks through the compiled circuit. model "" selects the
+// default, DefaultFaultModel: the paper's setup of F = collapsed stuck-at
+// faults and G = detectable non-feedback four-way bridging faults between
+// outputs of multi-input gates. For the "transition" model the universe
+// indexes ordered two-pattern tests (v1, v2) ∈ U×U, so Universe.Size is
+// |U|²; Definition 2 requires single stuck-at targets and is unavailable
+// under models without them (see FaultModels).
+//
+// opts.Workers bounds the simulation parallelism (0 = one worker per CPU,
+// 1 = the serial path) and opts.Progress observes the construction stages
+// (simulate, the model's T-set stages, universe); the universe built is
+// identical for every setting (DESIGN.md §5, §7). Circuits are accepted up
+// to MaxExhaustiveInputs inputs, subject to the result-memory budget check
+// described in DESIGN.md §9.
+func Analyze(c *Circuit, model string, opts AnalyzeOptions) (*CircuitUniverse, error) {
 	m, err := fault.Resolve(model)
 	if err != nil {
 		return nil, err
@@ -279,7 +262,7 @@ func LoadBenchmark(name string) (*CircuitUniverse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.FromCircuit(r.Circuit)
+	return core.BuildUniverse(r.Circuit, fault.Default(), core.AnalyzeOptions{})
 }
 
 // GenerateCompact builds a compact n-detection test set deterministically:

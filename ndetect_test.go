@@ -18,7 +18,7 @@ func TestFacadeBuilderFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	u, err := Analyze(c)
+	u, err := Analyze(c, "", AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestFacadeAnalyzePartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EmbeddedBenchCircuit(w64): %v", err)
 	}
-	if _, err := Analyze(c); err == nil {
+	if _, err := Analyze(c, "", AnalyzeOptions{}); err == nil {
 		t.Fatal("Analyze accepted a 64-input circuit; MaxInputs guard gone")
 	}
 	res, err := AnalyzePartitioned(c, PartitionOptions{MaxInputs: 16}, 0)
