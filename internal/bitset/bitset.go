@@ -301,6 +301,48 @@ func (s *Set) Intersects(t *Set) bool {
 	return false
 }
 
+// Sketch is a 192-bit summary of a Set from which Disjoint can prove two
+// sets disjoint in constant time. Fold is the OR of all words: bit b is set
+// iff some member has low six bits equal to b. Occ has one bit per nonzero
+// word, or per run of 2^s adjacent words when the set has more than 128
+// words, s being the smallest shift that fits (occShift). Sketches are
+// comparable only between sets over the same universe size.
+type Sketch struct {
+	Fold uint64
+	Occ  [2]uint64
+}
+
+// occShift returns the smallest s with ceil(words / 2^s) ≤ 128.
+func occShift(words int) uint {
+	s := uint(0)
+	for (words-1)>>s >= 128 {
+		s++
+	}
+	return s
+}
+
+// Sketch computes s's sketch in one pass over its words.
+func (s *Set) Sketch() Sketch {
+	var k Sketch
+	shift := occShift(len(s.words))
+	for i, w := range s.words {
+		if w != 0 {
+			k.Fold |= w
+			b := uint(i) >> shift
+			k.Occ[b/64] |= 1 << (b % 64)
+		}
+	}
+	return k
+}
+
+// Disjoint reports whether the sketches prove their sets disjoint. It is
+// sound, never complete: a common member v sets bit v mod 64 of both Folds
+// and the occupancy bit of word v/64 in both Occs, so true implies
+// s ∩ t = ∅, while false says nothing.
+func Disjoint(a, b Sketch) bool {
+	return a.Fold&b.Fold == 0 || a.Occ[0]&b.Occ[0]|a.Occ[1]&b.Occ[1] == 0
+}
+
 // Equal reports whether s and t have the same universe and members.
 func (s *Set) Equal(t *Set) bool {
 	if s.size != t.size {

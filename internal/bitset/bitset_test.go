@@ -414,3 +414,77 @@ func TestRangeStoresMaskTail(t *testing.T) {
 		t.Fatalf("SplitRangeAnd tail: %d/%d members, want 0/70", a.Count(), b.Count())
 	}
 }
+
+// randomSketchSet draws a set over 2^n vectors: a few random members or a
+// random input cube, so pairs the sketch proves disjoint and pairs that
+// overlap are both common at every n.
+func randomSketchSet(rng *rand.Rand, n int) *Set {
+	size := 1 << n
+	s := New(size)
+	if rng.Intn(2) == 0 {
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			s.Add(rng.Intn(size))
+		}
+		return s
+	}
+	care := rng.Intn(size)
+	val := rng.Intn(size) & care
+	for v := 0; v < size; v++ {
+		if v&care == val {
+			s.Add(v)
+		}
+	}
+	return s
+}
+
+// TestSketchDisjointSound: whenever the sketches prove two sets disjoint,
+// they are, at every |U| = 2^1 … 2^15 — one-word sets, the exact 64- and
+// 128-word occupancy masks, and the coarsened masks above 128 words.
+func TestSketchDisjointSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for n := 1; n <= 15; n++ {
+		proved := 0
+		for trial := 0; trial < 200; trial++ {
+			a, b := randomSketchSet(rng, n), randomSketchSet(rng, n)
+			ka, kb := a.Sketch(), b.Sketch()
+			if !Disjoint(ka, kb) {
+				continue
+			}
+			proved++
+			if m := a.IntersectionCount(b); m != 0 {
+				t.Fatalf("n=%d: sketches %+v and %+v prove disjoint two sets sharing %d members", n, ka, kb, m)
+			}
+		}
+		if proved == 0 {
+			t.Fatalf("n=%d: no pair proved disjoint, so soundness went unchecked", n)
+		}
+	}
+}
+
+// TestSketchHalfCubes pins which single-input conflicts the sketch proves:
+// {v : bit k = 1} and {v : bit k = 0} are sketch-disjoint exactly when
+// bit k selects a bit within the word (k < 6) or an occupancy bucket
+// (k − 6 ≥ s, where 2^s words share one occupancy bit).
+func TestSketchHalfCubes(t *testing.T) {
+	for n := 1; n <= 15; n++ {
+		size := 1 << n
+		s := int(occShift((size + wordBits - 1) / wordBits))
+		if want := max(0, n-13); s != want {
+			t.Fatalf("n=%d: occupancy shift %d, want %d", n, s, want)
+		}
+		for k := 0; k < n; k++ {
+			one, zero := New(size), New(size)
+			for v := 0; v < size; v++ {
+				if v>>k&1 == 1 {
+					one.Add(v)
+				} else {
+					zero.Add(v)
+				}
+			}
+			want := k < 6 || k-6 >= s
+			if got := Disjoint(one.Sketch(), zero.Sketch()); got != want {
+				t.Fatalf("n=%d k=%d: Disjoint = %v, want %v", n, k, got, want)
+			}
+		}
+	}
+}

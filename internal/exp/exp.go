@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -274,21 +275,13 @@ func capEvenly(idx []int, nmin []int, limit int) []int {
 	if limit <= 0 || len(idx) <= limit {
 		return idx
 	}
-	sortByNMin(idx, nmin)
+	sort.SliceStable(idx, func(a, b int) bool { return nmin[idx[a]] < nmin[idx[b]] })
 	out := make([]int, 0, limit)
 	step := float64(len(idx)) / float64(limit)
 	for i := 0; i < limit; i++ {
 		out = append(out, idx[int(float64(i)*step)])
 	}
 	return out
-}
-
-func sortByNMin(idx []int, nmin []int) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && nmin[idx[j]] < nmin[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
 }
 
 // Table5 runs the average-case analysis (Definition 1) on every configured

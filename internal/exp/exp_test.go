@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,6 +103,32 @@ func TestTable5RowShape(t *testing.T) {
 	}
 	if r.Counts[10] != r.Faults {
 		t.Fatalf("p ≥ 0 column (%d) must equal the fault count (%d)", r.Counts[10], r.Faults)
+	}
+}
+
+// TestCapEvenlyTies pins the sampled indices when many nmin values tie:
+// the sort is stable, so tied faults keep their input order.
+func TestCapEvenlyTies(t *testing.T) {
+	const inf = ndetect.Unbounded
+	cases := []struct {
+		name  string
+		idx   []int
+		nmin  []int
+		limit int
+		want  []int
+	}{
+		{"two values alternating", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{5, 3, 5, 3, 5, 3, 5, 3, 5, 3}, 4, []int{1, 5, 0, 4}},
+		{"unsorted input", []int{9, 2, 7, 4, 0, 5}, []int{1, 1, 2, 2, 1, 1, 2, 2, 1, 1}, 3, []int{9, 0, 2}},
+		{"all tied", []int{3, 1, 2, 0}, []int{7, 7, 7, 7}, 2, []int{3, 2}},
+		{"unbounded last", []int{0, 1, 2, 3, 4, 5}, []int{inf, 11, inf, 11, 12, 11}, 3, []int{1, 5, 0}},
+		{"uncapped", []int{2, 0, 1}, []int{3, 2, 1}, 0, []int{2, 0, 1}},
+		{"within limit", []int{2, 0, 1}, []int{3, 2, 1}, 3, []int{2, 0, 1}},
+	}
+	for _, c := range cases {
+		got := capEvenly(append([]int(nil), c.idx...), c.nmin, c.limit)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: capEvenly = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -304,62 +304,3 @@ func names(c *circuit.Circuit, fs []StuckAt) []string {
 	}
 	return out
 }
-
-func TestDominanceCollapse(t *testing.T) {
-	c := build(t, func(b *circuit.Builder) {
-		b.Input("a")
-		b.Input("c")
-		b.Gate(circuit.And, "g", "a", "c")
-		b.Output("g")
-	})
-	eq := CollapseStuckAt(c)
-	dom := DominanceCollapseStuckAt(c)
-	if len(dom) >= len(eq) {
-		t.Fatalf("dominance (%d) did not shrink equivalence (%d)", len(dom), len(eq))
-	}
-	// g/1 must be dropped (dominates a/1 and c/1), which stay.
-	var haveG1, haveA1, haveC1 bool
-	for _, f := range dom {
-		switch f.Name(c) {
-		case "g/1":
-			haveG1 = true
-		case "a/1":
-			haveA1 = true
-		case "c/1":
-			haveC1 = true
-		}
-	}
-	if haveG1 {
-		t.Fatal("dominated-dropping failed: g/1 still present")
-	}
-	if !haveA1 || !haveC1 {
-		t.Fatal("input s-a-1 faults must survive dominance collapsing")
-	}
-}
-
-func TestDominanceSemantics(t *testing.T) {
-	// Semantic check on random circuits: every fault dropped by dominance
-	// collapsing is detected by any test set detecting all kept faults.
-	// Here: verify T(dropped) ⊇ T(some kept input fault) for AND/OR gates
-	// via the simulator is covered in sim tests; structurally we at least
-	// confirm the dropped faults are exactly gate-output non-controlled
-	// stuck faults.
-	c := build(t, func(b *circuit.Builder) {
-		b.Input("a")
-		b.Input("c")
-		b.Input("d")
-		b.Gate(circuit.Or, "g1", "a", "c")
-		b.Gate(circuit.Nand, "g2", "g1", "d")
-		b.Output("g2")
-	})
-	dom := DominanceCollapseStuckAt(c)
-	for _, f := range dom {
-		n := c.Node(f.Node)
-		if n.Kind == circuit.Or && !f.Value {
-			t.Fatalf("OR output s-a-0 (%s) not dropped", f.Name(c))
-		}
-		if n.Kind == circuit.Nand && !f.Value {
-			t.Fatalf("NAND output s-a-0 (%s) not dropped", f.Name(c))
-		}
-	}
-}

@@ -105,14 +105,27 @@ func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	}
 	sort.Slice(order, func(a, b int) bool { return nf[order[a]] < nf[order[b]] })
 
+	// Most scanned pairs are disjoint (86–93% on dvram, s1a and keyb), and
+	// the sketches prove about nine in ten of those without reading either
+	// set. A skip stands in for exactly one m == 0 outcome, so the visit
+	// order, the breaks and every nmin are unchanged.
+	sk := make([]bitset.Sketch, len(order))
+	for p, i := range order {
+		sk[p] = u.Targets[i].T.Sketch()
+	}
+
 	one := func(c int) {
 		g := u.Untargeted[reps[c]]
 		ng := g.T.Count()
+		gs := g.T.Sketch()
 		best := Unbounded
-		for _, i := range order {
+		for p, i := range order {
 			lb := nf[i] + 1 - min(nf[i], ng)
 			if lb >= best {
 				break // all later targets have larger N(f), hence larger lb
+			}
+			if bitset.Disjoint(gs, sk[p]) {
+				continue
 			}
 			m := u.Targets[i].T.IntersectionCount(g.T)
 			if m == 0 {

@@ -1,10 +1,13 @@
 package ndetect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
+	"ndetect/internal/fault"
 )
 
 // table1Universe reproduces the paper's example exactly: the published
@@ -231,5 +234,94 @@ func TestEmptyUntargetedCoverage(t *testing.T) {
 	wc := WorstCase(&Universe{Size: 4, Targets: []Fault{{Name: "f", T: bitset.FromMembers(4, 0)}}})
 	if wc.CoverageAt(1) != 1 {
 		t.Fatal("vacuous coverage should be 1")
+	}
+}
+
+// cubeUniverse builds T-sets as unions of random input cubes on n inputs.
+// Cubes that conflict on an input are disjoint, and the sketch proves most
+// such pairs, so unlike randomUniverse's dense sets this exercises the
+// worst case's sketch skip on most scanned pairs.
+func cubeUniverse(rng *rand.Rand, n, nTargets, nUntargeted int) *Universe {
+	size := 1 << n
+	mkSet := func(cubes int) *bitset.Set {
+		s := bitset.New(size)
+		for ; cubes > 0; cubes-- {
+			care := rng.Intn(size) | rng.Intn(size)
+			val := rng.Intn(size) & care
+			for v := 0; v < size; v++ {
+				if v&care == val {
+					s.Add(v)
+				}
+			}
+		}
+		return s
+	}
+	u := &Universe{Size: size}
+	for i := 0; i < nTargets; i++ {
+		u.Targets = append(u.Targets, Fault{Name: "f", T: mkSet(1 + rng.Intn(3))})
+	}
+	for j := 0; j < nUntargeted; j++ {
+		u.Untargeted = append(u.Untargeted, Fault{Name: "g", T: mkSet(1 + rng.Intn(2))})
+	}
+	return u
+}
+
+// worstCaseMatchesNMin compares WorstCaseWorkers at workers 1 and 4 with
+// the unpruned per-fault NMin.
+func worstCaseMatchesNMin(t *testing.T, label string, u *Universe) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		wc := WorstCaseWorkers(u, workers)
+		for j, g := range u.Untargeted {
+			if want := NMin(g, u.Targets); wc.NMin[j] != want {
+				t.Fatalf("%s, workers %d: nmin[%d] = %d, per-fault NMin = %d", label, workers, j, wc.NMin[j], want)
+			}
+		}
+	}
+}
+
+// TestWorstCaseSketchDisjointUniverses: on universes where most (f, g)
+// pairs are sketch-disjoint, the worst case still equals per-fault NMin.
+func TestWorstCaseSketchDisjointUniverses(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var pairs, proved, finite int
+	for n := 8; n <= 14; n++ {
+		u := cubeUniverse(rng, n, 40, 60)
+		for _, g := range u.Untargeted {
+			for _, f := range u.Targets {
+				pairs++
+				if bitset.Disjoint(g.T.Sketch(), f.T.Sketch()) {
+					proved++
+				}
+			}
+			if NMin(g, u.Targets) != Unbounded {
+				finite++
+			}
+		}
+		worstCaseMatchesNMin(t, fmt.Sprintf("%d inputs", n), u)
+	}
+	if 2*proved < pairs || finite == 0 {
+		t.Fatalf("%d of %d pairs sketch-disjoint, %d finite nmin: the universes miss the skip path", proved, pairs, finite)
+	}
+	t.Logf("%d of %d pairs sketch-disjoint, %d finite nmin", proved, pairs, finite)
+}
+
+// TestWorstCaseEmbeddedCircuits runs the same comparison on the universes
+// of two embedded benchmark circuits.
+func TestWorstCaseEmbeddedCircuits(t *testing.T) {
+	for _, name := range []string{"bbara", "opus"} {
+		b, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("benchmark %s not embedded", name)
+		}
+		r, err := b.SynthesizeDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := BuildUniverse(r.Circuit, fault.Default(), AnalyzeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worstCaseMatchesNMin(t, name, &u.Universe)
 	}
 }
