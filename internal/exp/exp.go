@@ -65,15 +65,11 @@ type CircuitRun struct {
 	WC       *ndetect.WorstCaseResult
 }
 
-// RunCircuit synthesizes one benchmark and runs the worst-case analysis.
-func RunCircuit(name string) (*CircuitRun, error) {
-	return RunCircuitWorkers(name, 0)
-}
-
-// RunCircuitWorkers is RunCircuit with an explicit worker count threaded
-// into every stage — exhaustive simulation, T-set construction and the
-// worst-case analysis (0 = one per CPU). mapCircuits passes its split
-// per-circuit budget here, so the stages never multiply it back up.
+// RunCircuitWorkers synthesizes one benchmark and runs the worst-case
+// analysis, with an explicit worker count threaded into every stage —
+// exhaustive simulation, T-set construction and the worst-case analysis
+// (0 = one per CPU). mapCircuits passes its split per-circuit budget here,
+// so the stages never multiply it back up.
 func RunCircuitWorkers(name string, workers int) (*CircuitRun, error) {
 	b, ok := bench.ByName(name)
 	if !ok {
@@ -243,7 +239,7 @@ func Table3(cfg Config, observe func(*CircuitRun)) ([]report.Table3Row, error) {
 // paper shows dvram with cutoff 100; the cutoff adapts downward to the
 // largest populated decade if the surrogate's tail is shorter).
 func Figure2(name string, cutoff int) (string, error) {
-	run, err := RunCircuit(name)
+	run, err := RunCircuitWorkers(name, 0)
 	if err != nil {
 		return "", err
 	}

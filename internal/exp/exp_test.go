@@ -10,9 +10,9 @@ import (
 )
 
 func TestRunCircuit(t *testing.T) {
-	run, err := RunCircuit("lion")
+	run, err := RunCircuitWorkers("lion", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("RunCircuitWorkers: %v", err)
 	}
 	if run.Name != "lion" || run.Universe == nil || run.WC == nil {
 		t.Fatal("incomplete run")
@@ -20,8 +20,8 @@ func TestRunCircuit(t *testing.T) {
 	if len(run.WC.NMin) != len(run.Universe.Untargeted) {
 		t.Fatal("result length mismatch")
 	}
-	if _, err := RunCircuit("nope"); err == nil {
-		t.Fatal("RunCircuit accepted unknown name")
+	if _, err := RunCircuitWorkers("nope", 0); err == nil {
+		t.Fatal("RunCircuitWorkers accepted unknown name")
 	}
 }
 
@@ -133,9 +133,9 @@ func TestCapEvenlyTies(t *testing.T) {
 }
 
 func TestGe11SubsetSampling(t *testing.T) {
-	run, err := RunCircuit("log")
+	run, err := RunCircuitWorkers("log", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("RunCircuitWorkers: %v", err)
 	}
 	full := ge11Subset(run, 0)
 	if len(full) != run.WC.CountAtLeast(11) {
@@ -219,9 +219,9 @@ func TestRunAllDeterministic(t *testing.T) {
 // n ≤ nmax is detected by every random n-detection test set Procedure 1
 // produces.
 func TestGuaranteeAcrossPipeline(t *testing.T) {
-	run, err := RunCircuit("beecount")
+	run, err := RunCircuitWorkers("beecount", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("RunCircuitWorkers: %v", err)
 	}
 	res, err := ndetect.Procedure1(&run.Universe.Universe, ndetect.Procedure1Options{
 		NMax: 5, K: 25, Seed: 13, KeepTestSets: true,
@@ -246,9 +246,9 @@ func TestGuaranteeAcrossPipeline(t *testing.T) {
 }
 
 func TestTable2RowAgainstReport(t *testing.T) {
-	run, err := RunCircuit("lion")
+	run, err := RunCircuitWorkers("lion", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("RunCircuitWorkers: %v", err)
 	}
 	row := Table2Row(run)
 	out := report.FormatTable2([]report.Table2Row{row})
