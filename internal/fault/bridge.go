@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"fmt"
-
-	"ndetect/internal/circuit"
-)
+import "ndetect/internal/circuit"
 
 // Bridge is one of the four-way bridging faults between two lines.
 //
@@ -27,12 +23,20 @@ type Bridge struct {
 }
 
 // Name renders the fault in the paper's (l1,a1,l2,a2) tuple notation.
+// Names are built on every universe assembly, one per candidate fault, so
+// they are appended into a stack buffer rather than formatted.
 func (g Bridge) Name(c *circuit.Circuit) string {
-	a1, a2 := 0, 1
+	a1, a2 := byte('0'), byte('1')
 	if g.Value {
-		a1, a2 = 1, 0
+		a1, a2 = '1', '0'
 	}
-	return fmt.Sprintf("(%s,%d,%s,%d)", c.Node(g.Dominant).Name, a1, c.Node(g.Victim).Name, a2)
+	var buf [64]byte
+	b := append(buf[:0], '(')
+	b = append(b, c.Node(g.Dominant).Name...)
+	b = append(b, ',', a1, ',')
+	b = append(b, c.Node(g.Victim).Name...)
+	b = append(b, ',', a2, ')')
+	return string(b)
 }
 
 // Bridges enumerates the candidate untargeted fault universe of the paper:

@@ -297,11 +297,11 @@ func (TransitionProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 }
 
 func (TransitionProvider) Name(c *circuit.Circuit, d Descriptor) string {
-	edge := "str"
+	edge := "/str"
 	if d.V != 0 {
-		edge = "stf"
+		edge = "/stf"
 	}
-	return fmt.Sprintf("%s/%s", c.Node(int(d.A)).Name, edge)
+	return c.Node(int(d.A)).Name + edge
 }
 
 func (TransitionProvider) Validate(c *circuit.Circuit, d Descriptor) error {
@@ -341,8 +341,13 @@ func (PairStuckAtProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 }
 
 func (PairStuckAtProvider) Name(c *circuit.Circuit, d Descriptor) string {
-	return fmt.Sprintf("{%s/%d,%s/%d}",
-		c.Node(int(d.A)).Name, d.V&1, c.Node(int(d.B)).Name, d.V>>1&1)
+	var buf [64]byte
+	b := append(buf[:0], '{')
+	b = append(b, c.Node(int(d.A)).Name...)
+	b = append(b, '/', '0'+d.V&1, ',')
+	b = append(b, c.Node(int(d.B)).Name...)
+	b = append(b, '/', '0'+d.V>>1&1, '}')
+	return string(b)
 }
 
 func (PairStuckAtProvider) Validate(c *circuit.Circuit, d Descriptor) error {

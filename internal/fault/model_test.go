@@ -148,13 +148,13 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		p SetProvider
 		d Descriptor
 	}{
-		{StuckAtProvider{}, Descriptor{A: n, B: -1, V: 0}},   // node out of range
-		{StuckAtProvider{}, Descriptor{A: 0, B: 1, V: 0}},    // B must be -1
-		{StuckAtProvider{}, Descriptor{A: 0, B: -1, V: 2}},   // V out of range
-		{BridgeProvider{}, Descriptor{A: 0, B: 0, V: 0}},     // self-bridge
-		{BridgeProvider{}, Descriptor{A: 0, B: n, V: 0}},     // victim out of range
-		{TransitionProvider{}, Descriptor{A: -1, B: -1}},     // node out of range
-		{TransitionProvider{}, Descriptor{A: 0, B: 2, V: 0}}, // B must be -1
+		{StuckAtProvider{}, Descriptor{A: n, B: -1, V: 0}},    // node out of range
+		{StuckAtProvider{}, Descriptor{A: 0, B: 1, V: 0}},     // B must be -1
+		{StuckAtProvider{}, Descriptor{A: 0, B: -1, V: 2}},    // V out of range
+		{BridgeProvider{}, Descriptor{A: 0, B: 0, V: 0}},      // self-bridge
+		{BridgeProvider{}, Descriptor{A: 0, B: n, V: 0}},      // victim out of range
+		{TransitionProvider{}, Descriptor{A: -1, B: -1}},      // node out of range
+		{TransitionProvider{}, Descriptor{A: 0, B: 2, V: 0}},  // B must be -1
 		{PairStuckAtProvider{}, Descriptor{A: 2, B: 1, V: 0}}, // A >= B
 		{PairStuckAtProvider{}, Descriptor{A: 0, B: 1, V: 4}}, // V out of range
 	}
@@ -191,5 +191,63 @@ func TestSpaceSize(t *testing.T) {
 	})
 	if _, err := SpaceSize(tr, wide); err == nil {
 		t.Fatal("SpaceSize(transition) over 32 inputs did not report overflow")
+	}
+}
+
+// TestProviderNamesMatchFormat pins every provider's fault names to the
+// fmt format each one documents, on node names that are multi-byte,
+// non-ASCII and longer than the names' stack buffers.
+func TestProviderNamesMatchFormat(t *testing.T) {
+	long := strings.Repeat("long_node_name_", 6)
+	c := build(t, func(b *circuit.Builder) {
+		b.Input("in_α")
+		b.Input("β")
+		b.Input("x")
+		b.Gate(circuit.And, "σ門", "in_α", "β")
+		b.Gate(circuit.Nand, long, "β", "x")
+		b.Gate(circuit.Or, "出力", "σ門", long)
+		b.Output("出力")
+	})
+	node := func(id int32) string { return c.Node(int(id)).Name }
+	bit := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		p    SetProvider
+		want func(d Descriptor) string
+	}{
+		{StuckAtProvider{}, func(d Descriptor) string {
+			return fmt.Sprintf("%s/%d", node(d.A), d.V)
+		}},
+		{BridgeProvider{}, func(d Descriptor) string {
+			g := d.Bridge()
+			return fmt.Sprintf("(%s,%d,%s,%d)", node(d.A), bit(g.Value), node(d.B), bit(!g.Value))
+		}},
+		{TransitionProvider{}, func(d Descriptor) string {
+			return fmt.Sprintf("%s/%s", node(d.A), map[uint8]string{0: "str", 1: "stf"}[d.V])
+		}},
+		{PairStuckAtProvider{}, func(d Descriptor) string {
+			return fmt.Sprintf("{%s/%d,%s/%d}", node(d.A), d.V&1, node(d.B), d.V>>1&1)
+		}},
+	} {
+		ds := tc.p.Enumerate(c)
+		if len(ds) == 0 {
+			t.Fatalf("%T enumerates nothing", tc.p)
+		}
+		sawLong, sawNonASCII := false, false
+		for _, d := range ds {
+			got, want := tc.p.Name(c, d), tc.want(d)
+			if got != want {
+				t.Errorf("%T.Name(%+v) = %q, want %q", tc.p, d, got, want)
+			}
+			sawLong = sawLong || strings.Contains(got, long)
+			sawNonASCII = sawNonASCII || strings.ContainsAny(got, "αβσ門出力")
+		}
+		if !sawLong || !sawNonASCII {
+			t.Errorf("%T: names never used the long (%v) or non-ASCII (%v) node names", tc.p, sawLong, sawNonASCII)
+		}
 	}
 }

@@ -168,17 +168,6 @@ type Partitioned struct {
 	Merged []FaultNMin `json:"merged"`
 }
 
-// Encode renders the document as indented JSON with a trailing newline —
-// the exact bytes served, cached, and diffed. Encoding never fails: the
-// structs contain only JSON-encodable fields.
-func (a *Analysis) Encode() []byte {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		panic("report: Analysis encoding failed: " + err.Error())
-	}
-	return append(b, '\n')
-}
-
 // DecodeAnalysis parses an encoded Analysis document.
 func DecodeAnalysis(data []byte) (*Analysis, error) {
 	var a Analysis
